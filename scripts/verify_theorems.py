@@ -17,7 +17,7 @@ from bipartite_sandpile.series import SeriesRing
 def timed(label, fn):
     start = time.perf_counter()
     result = fn()
-    print(f"{label}: {result} ({time.perf_counter() - start:.1f}s)")
+    print(f"{label} ({time.perf_counter() - start:.1f}s): {result}")
     return result
 
 
@@ -25,7 +25,7 @@ def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--fast", action="store_true", help="smaller caps for a quick pass")
     args = parser.parse_args()
-    wh, xy, q = (3, 6, 8) if args.fast else (5, 8, 10)
+    wh, xy, q = (3, 6, 8) if args.fast else (6, 10, 10)
 
     ok = True
 

@@ -80,9 +80,9 @@ def cmd_rank(args: argparse.Namespace) -> int:
         "parking_sorted": to_json_dict(park),
         "r_vector": list(gaps.entries),
     }
-    proof = None
+    if args.check or args.proof:
+        greedy_value, proof = rank_greedy(u)
     if args.check:
-        greedy_value, _ = rank_greedy(u)
         scan_value = rank_scan(u)
         if not (value == greedy_value == scan_value):
             print(
@@ -92,7 +92,6 @@ def cmd_rank(args: argparse.Namespace) -> int:
             return DOMAIN_ERROR
         report["checked"] = True
     if args.proof:
-        _, proof = rank_greedy(u)
         report["proof"] = to_json_dict(proof.f)
     if args.format == "json":
         print(json.dumps(report))
@@ -100,7 +99,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
         print(f"rank {value}")
         print("parking " + _emit_config(park, "text"))
         print("rvector " + " ".join(map(str, gaps.entries)))
-        if proof is not None:
+        if args.proof:
             print("proof " + _emit_config(proof.f, "text"))
     return 0
 

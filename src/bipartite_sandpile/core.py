@@ -265,15 +265,24 @@ def to_json_dict(u: Configuration) -> dict:
     }
 
 
+def _is_int(v: object) -> bool:
+    """A JSON integer: ``bool`` is an ``int`` subclass but not a number here."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def from_json_dict(data: dict) -> Configuration:
     try:
         m, n = data["m"], data["n"]
         a, sink, b = data["a"], data.get("sink"), data["b"]
     except (KeyError, TypeError) as exc:
         raise SandpileError(f"configuration JSON missing field: {exc}") from None
-    if not all(isinstance(v, int) for v in list(a) + list(b)):
+    if not (_is_int(m) and _is_int(n)):
+        raise SandpileError("m and n must be integers")
+    if not (isinstance(a, list) and isinstance(b, list)):
+        raise SandpileError("a and b must be lists of integers")
+    if not all(_is_int(v) for v in a + b):
         raise SandpileError("configuration values must be integers")
-    if sink is not None and not isinstance(sink, int):
+    if sink is not None and not _is_int(sink):
         raise SandpileError("sink must be an integer or null")
     return Configuration(GraphShape(m, n), tuple(a), sink, tuple(b))
 

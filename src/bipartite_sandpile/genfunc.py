@@ -10,12 +10,14 @@ shapes at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from itertools import combinations_with_replacement
 
 from .core import Configuration, GraphShape, SandpileError
 from .cylindric import boundary_sets, xpara, ypara
-from .rank import _r_entries, rank_parking_sorted
+from .rank import _r_entries, r_vector, rank_parking_sorted
 from .series import SeriesRing, TruncatedSeries
 
 ENUMERATION_GUARD = 10**8
@@ -82,48 +84,78 @@ def degree_rank_table(
 
 def xy_table(shape: GraphShape, ring: SeriesRing) -> TruncatedSeries:
     """Generating function of (xpara, ypara) over all full parking sorted
-    configurations, truncated to the ring's x/y caps."""
-    cap_x = ring.caps[ring._index("x")]
-    cap_y = ring.caps[ring._index("y")]
-    coeffs: dict[tuple[int, int], int] = {}
+    configurations, truncated to the ring's x/y caps.
+
+    Both statistics depend only on the row-gap vector and the sink, so the
+    configurations are validated once, grouped by gap vector, and each group
+    sweeps its sink window once with the unvalidated kernel below.
+    """
+    ix, iy = ring._index("x"), ring._index("y")
+    cap_x, cap_y = ring.caps[ix], ring.caps[iy]
+    groups = Counter()
     for u in enumerate_parking_sorted(shape).configs:
-        for xp, yp in _stat_pairs(u, cap_x, cap_y):
-            coeffs[(xp, yp)] = coeffs.get((xp, yp), 0) + 1
+        gaps = r_vector(u).entries
+        if max(gaps) > 1:
+            raise RuntimeError("enumeration yielded a non-parking configuration; cannot happen")
+        groups[gaps] += 1
+    coeffs: dict[tuple[int, int], int] = {}
+    for gaps, mult in groups.items():
+        for xp, yp in _stat_pairs(gaps, shape.m, cap_x, cap_y):
+            coeffs[(xp, yp)] = coeffs.get((xp, yp), 0) + mult
     out: dict[tuple[int, ...], int] = {}
     for (xp, yp), c in coeffs.items():
         key = [0] * len(ring.variables)
-        key[ring._index("x")] = xp
-        key[ring._index("y")] = yp
+        key[ix] = xp
+        key[iy] = yp
         out[tuple(key)] = c
     return ring.from_coeffs(out)
 
 
-def _stat_pairs(u: Configuration, cap_x: int, cap_y: int):
+def _stats_from_gaps(gaps: tuple[int, ...], sink: int) -> tuple[int, int]:
+    """(xpara, ypara) of the parking sorted configuration with these row gaps
+    and this sink value, in O(n) and without validation.
+
+    ypara = rank + 1 comes from the rank formula (sink + 1 = nQ + R, one
+    term per row); xpara = (m-1)(n-1) + rank - degree, where the degree is
+    sum(gaps) - n + (m-1)(n-1) + sink because the a- and b-values of a
+    sorted stable configuration sum to sum(gaps) - n + (m-1)(n-1).
+    """
+    n = len(gaps)
+    visited = 0
+    if sink >= 0:
+        q, rem = divmod(sink + 1, n)
+        for i, r in enumerate(gaps):
+            term = q + (1 if i < rem else 0) + r - 1
+            if term > 0:
+                visited += term
+    return visited - 1 - sum(gaps) + n - sink, visited
+
+
+def _stat_pairs(gaps: tuple[int, ...], m: int, cap_x: int, cap_y: int):
     """(xpara, ypara) for every sink value that can land within the caps.
 
     The sink window comes from monotonicity: below the last rank -1 sink all
     moves only grow xpara, above the first xpara 0 sink they only grow ypara.
     """
-    m, n = u.shape.m, u.shape.n
+    n = len(gaps)
     guard = m * n + n + 2
     s = -1
-    while rank_parking_sorted(u.with_sink(s + 1)) < 0:
+    while _stats_from_gaps(gaps, s + 1)[1] == 0:
         s += 1
         if s > guard:
             raise RuntimeError("no non-negative rank below the guard; cannot happen")
     s_star = s  # largest sink with ypara = 0
     t = s_star
-    while xpara(u.with_sink(t)) > 0:
+    while _stats_from_gaps(gaps, t)[0] > 0:
         t += 1
         if t > guard + (m - 1) * (n - 1) + 1:
             raise RuntimeError("xpara never reached 0 below the guard; cannot happen")
     lo = s_star - (cap_x + 1)
     hi = t + cap_y + 1
-    if xpara(u.with_sink(lo - 1)) <= cap_x or ypara(u.with_sink(hi + 1)) <= cap_y:
+    if _stats_from_gaps(gaps, lo - 1)[0] <= cap_x or _stats_from_gaps(gaps, hi + 1)[1] <= cap_y:
         raise RuntimeError("sink window misses contributions; cannot happen")
     for sv in range(lo, hi + 1):
-        v = u.with_sink(sv)
-        xp, yp = xpara(v), ypara(v)
+        xp, yp = _stats_from_gaps(gaps, sv)
         if xp <= cap_x and yp <= cap_y:
             yield xp, yp
 
@@ -280,21 +312,43 @@ def boundary_series_closed(ring: SeriesRing) -> tuple[TruncatedSeries, Truncated
 
 @dataclass(frozen=True)
 class GfReport:
-    """Outcome of a coefficientwise comparison of two series."""
+    """Outcome of a coefficientwise comparison of two series.
+
+    ``per_shape`` counts the compared coefficients by (m, n), the w- and
+    h-exponents; ``phase_seconds`` holds the wall time of each phase.  Both
+    stay empty for a bare ``compare_series``; ``verify_gf`` fills them.
+    """
 
     ok: bool
     entries_checked: int
     mismatch_exponents: dict[str, int] | None = None
     lhs_value: int | None = None
     rhs_value: int | None = None
+    per_shape: dict[tuple[int, int], int] = field(default_factory=dict)
+    phase_seconds: dict[str, float] = field(default_factory=dict)
 
     def describe(self) -> str:
         if self.ok:
-            return f"PASS ({self.entries_checked} coefficients compared)"
-        return (
-            f"FAIL at {self.mismatch_exponents}: "
-            f"lhs={self.lhs_value} rhs={self.rhs_value}"
-        )
+            lines = [f"PASS ({self.entries_checked} coefficients compared)"]
+        else:
+            lines = [
+                f"FAIL at {self.mismatch_exponents}: "
+                f"lhs={self.lhs_value} rhs={self.rhs_value}"
+            ]
+        if self.phase_seconds:
+            lines.append(
+                "seconds: "
+                + ", ".join(f"{name} {sec:.3f}" for name, sec in self.phase_seconds.items())
+            )
+        if self.per_shape:
+            ms = sorted({m for m, _ in self.per_shape})
+            ns = sorted({n for _, n in self.per_shape})
+            lines.append("coefficients compared per shape (row m, column n):")
+            lines.append("      " + "".join(f"{f'n={n}':>7}" for n in ns))
+            for m in ms:
+                row = "".join(f"{self.per_shape.get((m, n), 0):>7}" for n in ns)
+                lines.append(f"  {f'm={m}':<4}{row}")
+        return "\n".join(lines)
 
 
 def compare_series(lhs: TruncatedSeries, rhs: TruncatedSeries) -> GfReport:
@@ -334,9 +388,23 @@ def gf_closed_form(ring: SeriesRing) -> TruncatedSeries:
 def verify_gf(mmax: int, nmax: int, cap_x: int, cap_y: int) -> GfReport:
     """Compare the enumerated family series against the closed form on every
     coefficient with w-exponent <= mmax, h-exponent <= nmax and x/y exponents
-    within the caps."""
+    within the caps; the report carries the per-shape coverage and the time
+    of each phase."""
     ring = SeriesRing(("x", "y", "w", "h"), (cap_x, cap_y, mmax, nmax))
-    return compare_series(family_series(mmax, nmax, ring), gf_closed_form(ring))
+    t0 = time.perf_counter()
+    lhs = family_series(mmax, nmax, ring)
+    t1 = time.perf_counter()
+    rhs = gf_closed_form(ring)
+    t2 = time.perf_counter()
+    report = compare_series(lhs, rhs)
+    t3 = time.perf_counter()
+    iw, ih = ring._index("w"), ring._index("h")
+    per_shape = Counter((k[iw], k[ih]) for k in set(lhs.coeffs) | set(rhs.coeffs))
+    return replace(
+        report,
+        per_shape=dict(sorted(per_shape.items())),
+        phase_seconds={"family series": t1 - t0, "closed form": t2 - t1, "comparison": t3 - t2},
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,18 @@ Plain power series over the integers with an independent exponent cap per
 variable; every coefficient is an exact Python int.  Monomials beyond a cap
 are silently discarded by the arithmetic, so within the caps all operations
 agree with the untruncated ring.
+
+Coefficients are stored under exponent tuples.  The two quadratic kernels,
+``__mul__`` and ``geom_inverse``, pack each tuple into one int for the
+duration of the call.  A variable with cap c gets a field of w + 1 bits,
+w = c.bit_length(): w bits hold the exponent and the top bit is a guard.
+One operand is packed plainly (field value e) and the other with a bias
+(field value e + 2^w - 1 - c), so one integer addition adds every pair of
+exponents, and the sum's field overflows into its guard bit exactly when
+e1 + e2 > c.  It never carries past the guard, since e1 + e2 + bias is at
+most c + 2^w - 1 < 2^(w+1).  A single ``&`` with the mask of all guard bits
+therefore tests every cap at once; a sum that passes is the biased packing
+of the product's exponents.
 """
 
 from __future__ import annotations
@@ -113,49 +125,62 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._same_ring(other)
-        caps = self.ring.caps
-        out: dict[tuple[int, ...], int] = {}
         small, large = self.coeffs, other.coeffs
         if len(small) > len(large):
             small, large = large, small
-        large_items = list(large.items())
+        packing = _Packing(self.ring.caps)
+        guard = packing.guard
+        large_items = [(packing.biased(k), c) for k, c in large.items()]
+        out: dict[int, int] = {}
         for k1, c1 in small.items():
-            for k2, c2 in large_items:
-                key = tuple(map(sum, zip(k1, k2)))
-                if any(e > cap for e, cap in zip(key, caps)):
+            p1 = packing.plain(k1)
+            for p2, c2 in large_items:
+                key = p1 + p2
+                if key & guard:
                     continue
-                s = out.get(key, 0) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return TruncatedSeries(self.ring, out)
+                out[key] = out.get(key, 0) + c1 * c2
+        return TruncatedSeries(self.ring, packing.unpack_biased(out))
 
     def geom_inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse within the caps; the constant term must be 1.
 
-        Solved coefficient-by-coefficient in graded order from g*f = 1, which
-        costs one convolution rather than a geometric-series iteration.
+        Solved from g*f = 1 by a push-style sweep in graded order: once every
+        key of total degree below d is final, the degree-d keys are, and each
+        non-zero g_k pushes -t_c * g_k onto k + t for every tail term t of f.
+        Only keys that receive a contribution are ever visited.
         """
         zero_key = (0,) * len(self.ring.variables)
         if self.coeffs.get(zero_key, 0) != 1:
             raise SeriesError("geom_inverse requires constant term 1")
-        tail = {k: c for k, c in self.coeffs.items() if k != zero_key}
-        out = {zero_key: 1}
-        for key in _graded_keys(self.ring.caps):
-            if key == zero_key:
-                continue
-            acc = 0
-            for tkey, tc in tail.items():
-                rest = tuple(e - t for e, t in zip(key, tkey))
-                if any(e < 0 for e in rest):
+        packing = _Packing(self.ring.caps)
+        guard = packing.guard
+        by_degree: dict[int, list[tuple[int, int]]] = {}
+        for k, c in self.coeffs.items():
+            if k != zero_key:
+                by_degree.setdefault(sum(k), []).append((packing.plain(k), c))
+        tail = sorted(by_degree.items())
+        # pending[d] maps biased keys of degree d to -(g_key); the constant
+        # term of g seeds the sweep
+        pending: list[dict[int, int]] = [{} for _ in range(sum(self.ring.caps) + 1)]
+        pending[0][packing.bias] = -1
+        out: dict[int, int] = {}
+        for d, layer in enumerate(pending):
+            for key, acc in layer.items():
+                if not acc:
                     continue
-                g = out.get(rest, 0)
-                if g:
-                    acc += tc * g
-            if acc:
-                out[key] = -acc
-        return TruncatedSeries(self.ring, out)
+                g = -acc
+                out[key] = g
+                for tdeg, terms in tail:
+                    if d + tdeg >= len(pending):
+                        break
+                    target = pending[d + tdeg]
+                    for tkey, tc in terms:
+                        s = key + tkey
+                        if s & guard:
+                            continue
+                        target[s] = target.get(s, 0) + tc * g
+            pending[d] = {}
+        return TruncatedSeries(self.ring, packing.unpack_biased(out))
 
     def coefficient(self, exponents: dict[str, int]) -> int:
         exps = [0] * len(self.ring.variables)
@@ -195,10 +220,37 @@ class TruncatedSeries:
         return "\n".join(lines)
 
 
-def _graded_keys(caps: tuple[int, ...]):
-    """All exponent tuples within caps, in increasing total degree."""
-    keys = [()]
-    for cap in caps:
-        keys = [k + (e,) for k in keys for e in range(cap + 1)]
-    keys.sort(key=sum)
-    return keys
+class _Packing:
+    """The packed-int layout of exponent tuples under fixed caps (see the
+    module docstring)."""
+
+    def __init__(self, caps: tuple[int, ...]) -> None:
+        self.shifts: list[int] = []
+        self.masks: list[int] = []
+        self.bias = 0
+        self.guard = 0
+        shift = 0
+        for cap in caps:
+            width = cap.bit_length()
+            self.shifts.append(shift)
+            self.masks.append((1 << width) - 1)
+            self.bias |= ((1 << width) - 1 - cap) << shift
+            self.guard |= 1 << (shift + width)
+            shift += width + 1
+
+    def plain(self, key: tuple[int, ...]) -> int:
+        return sum(e << s for e, s in zip(key, self.shifts))
+
+    def biased(self, key: tuple[int, ...]) -> int:
+        return self.plain(key) + self.bias
+
+    def unpack_biased(self, packed: dict[int, int]) -> dict[tuple[int, ...], int]:
+        """Exponent tuples back from biased keys; zero coefficients dropped."""
+        fields = list(zip(self.shifts, self.masks))
+        bias = self.bias
+        out = {}
+        for key, c in packed.items():
+            if c:
+                plain = key - bias
+                out[tuple((plain >> s) & mask for s, mask in fields)] = c
+        return out

@@ -179,6 +179,8 @@ def test_criterion_6_boundary_series():
 def test_criterion_7_product_formula():
     report = genfunc.verify_gf(5, 5, 8, 8)
     assert report.ok, report.describe()
+    wide = genfunc.verify_gf(6, 6, 10, 10)
+    assert wide.ok, wide.describe()
 
     ring = SeriesRing(("q", "w", "h"), (10, 5, 5))
     plain = genfunc.polyomino_series(genfunc.PolyominoWeights("q"), ring)
@@ -189,7 +191,8 @@ def test_criterion_7_product_formula():
     brute = oracle.polyomino_bruteforce(5, 5)
     max_area = max(a for a, _, _ in brute)
     assert genfunc.polyomino_counts(max_area, 5, 5) == brute
-    verdict(7, f"main product formula ({report.entries_checked} coefficients), polyomino identity, "
+    verdict(7, f"main product formula ({report.entries_checked} coefficients at m,n <= 5, x,y <= 8; "
+               f"{wide.entries_checked} at m,n <= 6, x,y <= 10), polyomino identity, "
                "L-quotient, and brute-force counts")
 
 

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bipartite_sandpile.cli import main, run_bench
 
@@ -29,6 +33,18 @@ class TestRank:
         proof = report["proof"]
         assert sum(proof["a"]) == 0 and proof["sink"] == 0
         assert sum(proof["b"]) == 13
+
+    def test_check_does_not_change_the_proof(self, capsys):
+        _, alone, _ = run(capsys, "rank", "-i", RUN75, "--proof")
+        _, checked, _ = run(capsys, "rank", "-i", RUN75, "--check", "--proof")
+        assert json.loads(checked)["proof"] == json.loads(alone)["proof"]
+        _, alone, _ = run(capsys, "rank", "-i", RUN75, "--proof", "--format", "text")
+        _, checked, _ = run(capsys, "rank", "-i", RUN75, "--check", "--proof", "--format", "text")
+        assert checked == alone and "proof " in alone
+
+    def test_check_alone_prints_no_proof(self, capsys):
+        code, out, _ = run(capsys, "rank", "-i", RUN75, "--check", "--format", "text")
+        assert code == 0 and "proof" not in out
 
     def test_missing_sink_is_usage_error(self, capsys):
         code, _, err = run(capsys, "rank", "-i", '{"m":2,"n":2,"a":[0],"sink":null,"b":[0,0]}')
@@ -158,6 +174,36 @@ class TestBench:
     def test_run_bench_rows(self):
         rows = run_bench([32, 64], seed=1, runs=1)
         assert rows[0]["ratio"] is None and rows[1]["ratio"] > 0
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+SMALL_INTS = st.integers(-3, 6)
+CONFIG_SHAPED = st.fixed_dictionaries(
+    {
+        "m": SMALL_INTS | JSON_VALUES,
+        "n": SMALL_INTS | JSON_VALUES,
+        "a": st.lists(SMALL_INTS | JSON_VALUES, max_size=5) | JSON_VALUES,
+        "b": st.lists(SMALL_INTS | JSON_VALUES, max_size=5) | JSON_VALUES,
+    },
+    optional={"sink": SMALL_INTS | JSON_VALUES},
+)
+
+
+class TestRankInputFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES | CONFIG_SHAPED)
+    def test_any_json_gives_an_exit_code(self, value):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            # the "=" form keeps argparse from reading a text such as -1e+16 as a flag
+            code = main(["rank", "--input=" + json.dumps(value)])
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert "rank" in json.loads(out.getvalue())
 
 
 class TestUsage:

@@ -223,6 +223,20 @@ class TestJson:
         with pytest.raises(SandpileError):
             from_json_dict({"m": 2, "n": 2, "a": [0.5], "sink": 0, "b": [0, 0]})
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("m", "2"), ("m", 2.0), ("m", True), ("n", None), ("n", [2]),
+            ("sink", True), ("sink", 0.0), ("sink", "0"),
+            ("a", [False]), ("b", [0, True]), ("a", 0), ("b", "00"), ("b", {"0": 0}),
+        ],
+    )
+    def test_bool_and_non_int_fields_rejected(self, field, value):
+        data = {"m": 2, "n": 2, "a": [0], "sink": 0, "b": [0, 0]}
+        data[field] = value
+        with pytest.raises(SandpileError):
+            from_json_dict(data)
+
 
 class TestParkingRepresentativeEquivalence:
     @pytest.mark.parametrize("m,n", [(2, 2), (3, 2)])

@@ -127,6 +127,22 @@ class TestXyTable:
             total = total + sink_series(u, ring)
         assert total == xy_table(GraphShape(2, 3), ring)
 
+    @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5) for n in range(1, 5)])
+    def test_equals_per_configuration_sweep(self, m, n):
+        # every sink whose statistics fit the caps lies in [-(cap+1), cap + n(m-1)]:
+        # below it xpara >= -sink-1 > cap, above it ypara >= sink+1-n(m-1) > cap
+        # (row gaps lie in [2-m, 1] and the rank is at least degree - genus)
+        cap = 6
+        ring = SeriesRing(("x", "y"), (cap, cap))
+        counts = {}
+        for u in enumerate_parking_sorted(GraphShape(m, n)).configs:
+            for s in range(-(cap + 1), cap + n * (m - 1) + 1):
+                v = u.with_sink(s)
+                key = (xpara(v), ypara(v))
+                if max(key) <= cap:
+                    counts[key] = counts.get(key, 0) + 1
+        assert xy_table(GraphShape(m, n), ring) == ring.from_coeffs(counts)
+
     def test_csv_golden_corner(self):
         ring = SeriesRing(("x", "y"), (2, 2))
         text = xy_csv(xy_table(GraphShape(5, 3), ring))

@@ -1,5 +1,7 @@
+from itertools import product
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipartite_sandpile.series import SeriesError, SeriesRing
@@ -124,3 +126,76 @@ class TestUtilities:
         f = RING2.from_coeffs({(1, 1): 4})
         assert f.scaled(-2) == RING2.from_coeffs({(1, 1): -8})
         assert f.scaled(0) == RING2.zero()
+
+
+# -- the packed-key kernels against tuple-key references written out here
+
+
+def naive_product(f, g):
+    caps = f.ring.caps
+    out = {}
+    for k1, c1 in f.coeffs.items():
+        for k2, c2 in g.coeffs.items():
+            key = tuple(e1 + e2 for e1, e2 in zip(k1, k2))
+            if all(e <= cap for e, cap in zip(key, caps)):
+                out[key] = out.get(key, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def naive_inverse(f):
+    """Solve g*f = 1 key by key over the whole box, in graded order."""
+    caps = f.ring.caps
+    zero = (0,) * len(caps)
+    g = {}
+    for key in sorted(product(*(range(cap + 1) for cap in caps)), key=sum):
+        if key == zero:
+            g[key] = 1
+            continue
+        acc = 0
+        for tkey, tc in f.coeffs.items():
+            rest = tuple(e - t for e, t in zip(key, tkey))
+            if tkey != zero and min(rest) >= 0:
+                acc += tc * g[rest]
+        g[key] = -acc
+    return {k: c for k, c in g.items() if c}
+
+
+COEFFS = st.integers(-9, 9) | st.integers(-(2**70), 2**70)
+
+
+@st.composite
+def rings(draw):
+    nvars = draw(st.integers(1, 4))
+    caps = tuple(draw(st.lists(st.integers(0, 5), min_size=nvars, max_size=nvars)))
+    return SeriesRing(tuple("xyzw"[:nvars]), caps)
+
+
+@st.composite
+def ring_and_series(draw, count):
+    ring = draw(rings())
+    return ring, [draw(sparse_series(ring, COEFFS)) for _ in range(count)]
+
+
+class TestPackedKernels:
+    @settings(max_examples=200, deadline=None)
+    @given(ring_and_series(2))
+    def test_product_matches_tuple_convolution(self, drawn):
+        ring, (f, g) = drawn
+        assert (f * g).coeffs == naive_product(f, g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ring_and_series(1))
+    def test_inverse_matches_graded_solve(self, drawn):
+        ring, (f,) = drawn
+        zero = (0,) * len(ring.caps)
+        unit = f - ring.from_coeffs({zero: f.coeffs.get(zero, 0)}) + ring.one()
+        inv = unit.geom_inverse()
+        assert inv.coeffs == naive_inverse(unit)
+        assert unit * inv == ring.one()
+
+    def test_exponent_sum_on_a_power_of_two_cap(self):
+        # cap 4 fills three bits; 2 + 2 sits exactly on the cap, 3 + 2 is past it
+        ring = SeriesRing(("x", "y"), (4, 0))
+        x2, x3 = ring.monomial({"x": 2}), ring.monomial({"x": 3})
+        assert (x2 * x2).coeffs == {(4, 0): 1}
+        assert (x3 * x2).is_zero()
