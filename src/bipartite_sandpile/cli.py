@@ -33,20 +33,26 @@ DEFAULT_BENCH_SIZES = [100_000 * 2**k for k in range(8)]  # 1e5 .. 1.28e7
 
 
 def _read_configuration(raw: str) -> Configuration:
-    if raw.strip().startswith("{"):
-        text = raw
-    elif raw == "-":
-        text = sys.stdin.read()
-    else:
+    """The configuration given by --input: "-" reads stdin; any other value
+    is the JSON text itself when it parses, else the path of a JSON file."""
+    text = sys.stdin.read() if raw == "-" else raw
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        if raw == "-":
+            raise UsageError(f"malformed configuration JSON: {exc}")
         try:
             with open(raw, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read input file: {exc}")
+        except (OSError, ValueError) as err:
+            raise UsageError(f"input is neither JSON ({exc}) nor a readable file ({err})")
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as err:
+            raise UsageError(f"malformed configuration JSON in {raw}: {err}")
     try:
-        data = json.loads(text)
         return from_json_dict(data)
-    except (json.JSONDecodeError, SandpileError) as exc:
+    except SandpileError as exc:
         raise UsageError(f"malformed configuration JSON: {exc}")
 
 
@@ -158,13 +164,18 @@ def cmd_verify_gf(args: argparse.Namespace) -> int:
 
 
 def generate_random_configuration(total: int, rng) -> Configuration:
-    """Benchmark inputs: a,b uniform in [0,4n] / [0,4m], sink in [-mn, 3mn],
-    so every pipeline stage sees nontrivial quotients."""
+    """Benchmark inputs: a,b uniform in [0,4n] / [0,4m], so every pipeline
+    stage sees nontrivial quotients, and a degree drawn from one of the three
+    regimes of rank, picked uniformly: below 0 (rank -1), 0..2g-2, and above
+    2g-2 (rank deg - g), with g = (m-1)(n-1)."""
     m = total // 2
     n = total - m
+    g = (m - 1) * (n - 1)
     a = rng.choices(range(4 * n + 1), k=m - 1)
     b = rng.choices(range(4 * m + 1), k=n)
-    sink = rng.randrange(-m * n, 3 * m * n + 1)
+    regimes = [(-g - 1, -1), (0, 2 * g - 2), (2 * g - 1, 3 * g + 1)]
+    lo, hi = rng.choice([r for r in regimes if r[0] <= r[1]])
+    sink = rng.randint(lo, hi) - sum(a) - sum(b)
     return Configuration(GraphShape(m, n), tuple(a), sink, tuple(b))
 
 
@@ -291,9 +302,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_input_values(argv: list[str]) -> list[str]:
+    """Rewrite "-i VALUE" / "--input VALUE" as "--input=VALUE", so that a
+    value starting with "-" (such as the JSON number -1e+16) is not read as
+    a flag."""
+    out = []
+    args = iter(argv)
+    for arg in args:
+        value = next(args, None) if arg in ("-i", "--input") else None
+        out.append(arg if value is None else f"--input={value}")
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_input_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.handler(args)
     except UsageError as exc:

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
+from operator import le
 
 
 class SandpileError(ValueError):
@@ -27,6 +29,8 @@ class GraphShape:
     n: int
 
     def __post_init__(self) -> None:
+        if not (_is_int(self.m) and _is_int(self.n)):
+            raise SandpileError(f"m and n must be integers, got ({self.m!r}, {self.n!r})")
         if self.m < 1 or self.n < 1:
             raise SandpileError(f"need m >= 1 and n >= 1, got ({self.m}, {self.n})")
 
@@ -173,15 +177,17 @@ def is_quasi_stable(u: Configuration) -> bool:
 def is_stable(u: Configuration) -> bool:
     """Quasi-stable and non-negative outside the sink."""
     m, n = u.shape.m, u.shape.n
-    return all(0 <= v < n for v in u.a) and all(0 <= v < m for v in u.b)
+    a, b = u.a, u.b
+    return (not a or (min(a) >= 0 and max(a) < n)) and min(b) >= 0 and max(b) < m
+
+
+def _ascending(values) -> bool:
+    return all(map(le, values, islice(values, 1, None)))
 
 
 def is_sorted(u: Configuration) -> bool:
     """Both parts weakly increasing (the sink takes no part)."""
-    a, b = u.a, u.b
-    return all(a[i] <= a[i + 1] for i in range(len(a) - 1)) and all(
-        b[j] <= b[j + 1] for j in range(len(b) - 1)
-    )
+    return _ascending(u.a) and _ascending(u.b)
 
 
 def is_compact(u: Configuration) -> bool:
@@ -197,38 +203,17 @@ def is_compact(u: Configuration) -> bool:
 
 
 def stabilize(u: Configuration) -> Configuration:
-    """Stable configuration toppling-equivalent to u, in O(m+n) operations.
-
-    Two passes of Euclidean division: reduce the b-part mod m collecting the
-    quotients, shift the a-part by their total and reduce mod n, then recover
-    the sink from degree conservation.
-    """
-    m, n = u.shape.m, u.shape.n
-    deg = degree(u)
-    quot_total = 0
-    b = []
-    for v in u.b:
-        q, r = divmod(v, m)
-        quot_total += q
-        b.append(r)
-    a = [(v + quot_total) % n for v in u.a]
-    sink = deg - sum(a) - sum(b)
+    """Stable configuration toppling-equivalent to u, in O(m+n) operations."""
+    a, sink, b = stable_parts(u.shape.m, u.shape.n, u.a, u.require_sink(), u.b)
     return Configuration(u.shape, tuple(a), sink, tuple(b))
 
 
 def counting_sort(bound: int, values: list[int] | tuple[int, ...]) -> list[int]:
     """Sort integers in [0, bound] in O(bound + len) operations."""
-    counts = [0] * (bound + 1)
-    for v in values:
-        if not 0 <= v <= bound:
-            raise SandpileError(f"counting_sort: value {v} outside [0, {bound}]")
-        counts[v] += 1
-    out = []
-    for v in range(bound + 1):
-        c = counts[v]
-        if c:
-            out.extend([v] * c)
-    return out
+    if values and not (min(values) >= 0 and max(values) <= bound):
+        bad = next(v for v in values if not 0 <= v <= bound)
+        raise SandpileError(f"counting_sort: value {bad} outside [0, {bound}]")
+    return from_counts(value_counts(bound, values))
 
 
 def sort_config(u: Configuration) -> Configuration:
@@ -236,9 +221,41 @@ def sort_config(u: Configuration) -> Configuration:
     m, n = u.shape.m, u.shape.n
     if not is_stable(u):
         raise SandpileError("sort_config expects a stable configuration")
-    a = counting_sort(n - 1, u.a) if u.a else []
-    b = counting_sort(m - 1, u.b)
+    a = from_counts(value_counts(n - 1, u.a))
+    b = from_counts(value_counts(m - 1, u.b))
     return Configuration(u.shape, tuple(a), u.sink, tuple(b))
+
+
+# Kernels behind stabilize and the counting sort: plain sequences in, lists
+# out, no validation.  The public functions above check their input and call
+# these; rank.rank_of chains them without building a Configuration.
+
+
+def stable_parts(m: int, n: int, a, sink: int, b) -> tuple[list[int], int, list[int]]:
+    """(a, sink, b) of the stable configuration equivalent to these values.
+
+    Two passes of Euclidean division: reduce the b-part mod m, shift the
+    a-part by the total of the quotients and reduce it mod n, then recover the
+    sink from degree conservation.
+    """
+    rb = [v % m for v in b]
+    sum_b, sum_rb = sum(b), sum(rb)
+    quot_total = (sum_b - sum_rb) // m
+    ra = [(v + quot_total) % n for v in a]
+    return ra, sink + sum(a) - sum(ra) + sum_b - sum_rb, rb
+
+
+def value_counts(bound: int, values) -> list[int]:
+    """Histogram of integers in [0, bound]: entry v counts the values equal to v."""
+    counts = [0] * (bound + 1)
+    for v in values:
+        counts[v] += 1
+    return counts
+
+
+def from_counts(counts: list[int]) -> list[int]:
+    """The sorted values a histogram counts."""
+    return list(chain.from_iterable(map(repeat, range(len(counts)), counts)))
 
 
 def is_effective(u: Configuration) -> bool:
@@ -271,13 +288,13 @@ def _is_int(v: object) -> bool:
 
 
 def from_json_dict(data: dict) -> Configuration:
+    if not isinstance(data, dict):
+        raise SandpileError("configuration JSON must be an object")
     try:
         m, n = data["m"], data["n"]
         a, sink, b = data["a"], data.get("sink"), data["b"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise SandpileError(f"configuration JSON missing field: {exc}") from None
-    if not (_is_int(m) and _is_int(n)):
-        raise SandpileError("m and n must be integers")
     if not (isinstance(a, list) and isinstance(b, list)):
         raise SandpileError("a and b must be lists of integers")
     if not all(_is_int(v) for v in a + b):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Configuration, SandpileError, degree
-from .rank import _r_entries, is_parking_sorted, rank_parking_sorted
+from .rank import is_parking_sorted, rank_parking_sorted, row_gaps
 from .series import SeriesRing, TruncatedSeries
 
 
@@ -61,7 +61,7 @@ def rank_via_cylindric(u: Configuration) -> int:
     _require_parking(u, "rank_via_cylindric")
     sink = u.require_sink()
     n = u.shape.n
-    r = _r_entries(u.a, u.b, u.shape.m, n)
+    r = row_gaps(u.a, u.b, n)
     total = 0
     for t in range(n):
         # right cells of row t have label s = qn + t with q >= 1 - r[t]
@@ -73,15 +73,15 @@ def rank_via_cylindric(u: Configuration) -> int:
 
 
 def xpara(u: Configuration) -> int:
-    """Unvisited left cells; equals (m-1)(n-1) + rank - degree."""
-    _require_parking(u, "xpara")
+    """Unvisited left cells; equals (m-1)(n-1) + rank - degree.  u must be
+    full and parking sorted; rank_parking_sorted checks both."""
     m, n = u.shape.m, u.shape.n
     return (m - 1) * (n - 1) + rank_parking_sorted(u) - degree(u)
 
 
 def ypara(u: Configuration) -> int:
-    """Visited right cells; equals rank + 1."""
-    _require_parking(u, "ypara")
+    """Visited right cells; equals rank + 1.  u must be full and parking
+    sorted; rank_parking_sorted checks both."""
     return rank_parking_sorted(u) + 1
 
 
@@ -91,7 +91,7 @@ def xpara_by_counting(u: Configuration) -> int:
     _require_parking(u, "xpara_by_counting")
     sink = u.require_sink()
     n = u.shape.n
-    r = _r_entries(u.a, u.b, u.shape.m, n)
+    r = row_gaps(u.a, u.b, n)
     total = 0
     for t in range(n):
         q_visited = (sink - t) // n  # largest q with label <= sink in row t

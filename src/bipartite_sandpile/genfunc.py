@@ -17,7 +17,7 @@ from itertools import combinations_with_replacement
 
 from .core import Configuration, GraphShape, SandpileError
 from .cylindric import boundary_sets, xpara, ypara
-from .rank import _r_entries, r_vector, rank_parking_sorted
+from .rank import r_vector, rank_from_gaps, rank_parking_sorted, row_gaps
 from .series import SeriesRing, TruncatedSeries
 
 ENUMERATION_GUARD = 10**8
@@ -61,7 +61,7 @@ def enumerate_parking_sorted(shape: GraphShape) -> ParkingFamily:
     for a in combinations_with_replacement(range(n), m - 1):
         for tail in combinations_with_replacement(range(m), n - 1):
             b = (0,) + tail
-            if all(r <= 1 for r in _r_entries(a, b, m, n)):
+            if max(row_gaps(a, b, n)) <= 1:
                 configs.append(Configuration(shape, a, None, b))
     return ParkingFamily(shape, tuple(configs))
 
@@ -120,15 +120,8 @@ def _stats_from_gaps(gaps: tuple[int, ...], sink: int) -> tuple[int, int]:
     sum(gaps) - n + (m-1)(n-1) + sink because the a- and b-values of a
     sorted stable configuration sum to sum(gaps) - n + (m-1)(n-1).
     """
-    n = len(gaps)
-    visited = 0
-    if sink >= 0:
-        q, rem = divmod(sink + 1, n)
-        for i, r in enumerate(gaps):
-            term = q + (1 if i < rem else 0) + r - 1
-            if term > 0:
-                visited += term
-    return visited - 1 - sum(gaps) + n - sink, visited
+    rank = rank_from_gaps(gaps, sink)
+    return rank - sum(gaps) + len(gaps) - sink, rank + 1
 
 
 def _stat_pairs(gaps: tuple[int, ...], m: int, cap_x: int, cap_y: int):

@@ -6,11 +6,37 @@ the code: a stable sorted configuration is a pair of monotone lattice paths in
 an m x n grid (green path from the b-part, red path from the a-part), and the
 operators below slide that grid along the doubly periodic continuation of the
 two paths.
+
+Validation happens once, at the public boundary.  The public functions take a
+Configuration, check what they require of it (stable, sorted, parking, a
+sink) and hand plain tuples or lists to kernels that trust their input:
+``row_gaps``, the parking slide ``_slide`` and the rank formula
+``rank_from_gaps`` here, ``stable_parts``/``value_counts``/``from_counts`` in
+``core``.  ``rank_of`` and ``parking_representative`` run stabilize, counting
+sort, park and formula as one pass over these kernels (``_parked_counts``),
+with no Configuration built in between and each gap computed once.  The
+algorithm's own "cannot happen" checks, that the parked parts are sorted and
+stable and the parked gaps at most 1, are made once and raise RuntimeError.
+
+Parking carries the row gaps r_1..r_n along instead of rescanning them.  Let
+h be the first row with the largest gap r_h, b_h its b-value and c the number
+of a-values below its red step, so that r_h = b_h + 1 - c.  The slide makes
+row h the first row: every green column drops by b_h and every red column by
+c, so each gap drops by r_h - 1, and rows 1..h-1 move past the last row,
+where their green column gains m and their red column m - 1.  The parked gaps
+are therefore
+
+    r_h - r_h + 1, ..., r_n - r_h + 1,  r_1 - r_h + 2, ..., r_(h-1) - r_h + 2,
+
+all at most 1 because no earlier row reaches r_h.  The parked sink follows
+from degree conservation in O(1), and the rank needs nothing else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain, islice, repeat
+from operator import le, sub
 
 from .core import (
     Configuration,
@@ -18,12 +44,12 @@ from .core import (
     ProofOfRank,
     SandpileError,
     config,
-    degree,
+    from_counts,
     is_compact,
     is_sorted,
     is_stable,
-    sort_config,
-    stabilize,
+    stable_parts,
+    value_counts,
 )
 
 
@@ -53,29 +79,57 @@ class GridShift:
 # row gaps
 
 
-def _r_entries(a: tuple[int, ...], b: tuple[int, ...], m: int, n: int) -> list[int]:
-    """Two-finger scan computing all row gaps in O(m+n); no validation."""
-    out = []
-    h = 0  # number of a-values <= i-2, maintained as i grows
-    for i in range(1, n + 1):
-        while h < m - 1 and a[h] <= i - 2:
-            h += 1
-        out.append(b[i - 1] + 1 - h)
-    return out
+def row_gaps(a, b, n: int) -> list[int]:
+    """Row gaps of sorted parts, a-values in [0, n); no validation.
+
+    Row i (1-based) has its green north step at column b_i + 1 and its red
+    north step at column C(i-2), the number of a-values <= i-2.
+    """
+    return list(map(sub, map(_plus_one, b), _red_columns(value_counts(n - 1, a))))
+
+
+_plus_one = (1).__add__
+
+
+def _red_columns(a_counts: list[int]):
+    """C(-1), C(0), ...: red column of each row from the a-part's histogram."""
+    return chain((0,), accumulate(a_counts))
+
+
+def _gaps_from_counts(a_counts: list[int], b_counts: list[int]) -> list[int]:
+    """row_gaps from the histograms of both parts; the green columns b_i + 1
+    are read off the b-histogram without building the sorted b-part."""
+    green = chain.from_iterable(map(repeat, range(1, len(b_counts) + 1), b_counts))
+    return list(map(sub, green, _red_columns(a_counts)))
+
+
+def _ends_within(u: Configuration, b_low: int) -> bool:
+    """For sorted parts: a-values in [0, n) and b-values in [b_low, m)."""
+    a, b = u.a, u.b
+    return (not a or (a[0] >= 0 and a[-1] < u.shape.n)) and b[0] >= b_low and b[-1] < u.shape.m
+
+
+def _checked_gaps(u: Configuration, who: str) -> list[int]:
+    if not (is_sorted(u) and _ends_within(u, 0)):
+        raise SandpileError(f"{who} expects a stable sorted configuration")
+    return row_gaps(u.a, u.b, u.shape.n)
+
+
+def _parking_gaps(u: Configuration, who: str) -> list[int]:
+    gaps = _checked_gaps(u, who)
+    if max(gaps) > 1:
+        raise SandpileError(f"{who} expects a parking sorted configuration")
+    return gaps
 
 
 def r_vector(u: Configuration) -> RVector:
     """Row-gap vector of a stable sorted configuration (sink ignored)."""
-    if not (is_stable(u) and is_sorted(u)):
-        raise SandpileError("r_vector expects a stable sorted configuration")
-    return RVector(tuple(_r_entries(u.a, u.b, u.shape.m, u.shape.n)), u.shape)
+    return RVector(tuple(_checked_gaps(u, "r_vector")), u.shape)
 
 
 def is_parking_sorted(u: Configuration) -> bool:
     """No row of the intersection area holds two cells: all row gaps <= 1."""
-    if not (is_stable(u) and is_sorted(u)):
-        raise SandpileError("is_parking_sorted expects a stable sorted configuration")
-    return all(r <= 1 for r in _r_entries(u.a, u.b, u.shape.m, u.shape.n))
+    return max(_checked_gaps(u, "is_parking_sorted")) <= 1
 
 
 def _intersection_cells(u: Configuration) -> set[tuple[int, int]]:
@@ -178,10 +232,8 @@ def next_toward_parking(u: Configuration) -> Configuration:
     row j-1 weakly left of it); the move topples the a-suffix from the
     leftmost cell of that row and the b-suffix from that row upward.
     """
-    if not (is_stable(u) and is_sorted(u)):
-        raise SandpileError("next_toward_parking expects a stable sorted configuration")
+    r = _checked_gaps(u, "next_toward_parking")
     m, n = u.shape.m, u.shape.n
-    r = _r_entries(u.a, u.b, m, n)
     red_col = [sum(1 for v in u.a if v <= t - 1) for t in range(n)]
     row = 0
     for j in range(1, n + 1):
@@ -234,38 +286,75 @@ def park_sort(u: Configuration) -> Configuration:
     m, n = u.shape.m, u.shape.n
     if not is_sorted(u):
         raise SandpileError("park_sort expects a sorted configuration")
-    if not (all(0 <= v < n for v in u.a) and all(-1 <= v < m for v in u.b)):
+    if not _ends_within(u, -1):
         raise SandpileError("park_sort expects a-values in [0,n) and b-values in [-1,m)")
-    out, _ = _park_sort_rotation(u)
-    return out
+    return _park_parts(u.shape, u.a, u.sink, u.b, row_gaps(u.a, u.b, n))
 
 
-def _park_sort_rotation(u: Configuration) -> tuple[Configuration, int]:
-    """park_sort plus the amount the b-part was cyclically rotated left."""
+def _slide(gaps: list[int], sink: int | None):
+    """Kernel of the parking slide on row gaps alone: the parked gaps, the
+    parked sink (None stays None), the first row h (0-based) of the largest
+    gap and that gap.  See the module docstring for the identity."""
+    top = max(gaps)
+    h = gaps.index(top)
+    gaps = [x - top + 1 for x in islice(gaps, h, None)] + [x - top + 2 for x in islice(gaps, h)]
+    if max(gaps) > 1:
+        raise RuntimeError("the parking slide left a row gap above 1; this cannot happen")
+    if sink is not None:
+        # degree conservation: the slide moves n(r_h - 1) - h chips to the sink
+        sink += len(gaps) * (top - 1) - h
+    return gaps, sink, h, top
+
+
+def _park_parts(shape: GraphShape, a, sink: int | None, b, gaps: list[int]) -> Configuration:
+    """Park sorted parts (a-values in [0, n), b-values in [-1, m)) whose row
+    gaps are given.  Row h's b-value b_h drops to 0 and the b-values before it
+    wrap around (+m); the c = b_h - r_h + 1 a-values below h wrap too (+n)
+    and all a-values drop by h."""
+    m, n = shape.m, shape.n
+    _, sink, h, top = _slide(gaps, sink)
+    bh = b[h]
+    c = bh - top + 1
+    a = [v - h for v in islice(a, c, None)] + [v - h + n for v in islice(a, c)]
+    b = [v - bh for v in islice(b, h, None)] + [v - bh + m for v in islice(b, h)]
+    if not (_sorted_below(a, n) and _sorted_below(b, m)):
+        raise RuntimeError("park_sort produced an unsorted or unstable result; this cannot happen")
+    return Configuration(shape, tuple(a), sink, tuple(b))
+
+
+def _sorted_below(values: list[int], bound: int) -> bool:
+    """Sorted with every value in [0, bound)."""
+    return not values or (
+        values[0] >= 0 and values[-1] < bound and all(map(le, values, islice(values, 1, None)))
+    )
+
+
+def _parked_counts(u: Configuration) -> tuple[list[int], int, list[int], list[int]]:
+    """Parked (a-histogram, sink, b-histogram, gaps) of a full configuration:
+    stabilize, counting sort and park in one pass, the sorted parts never
+    built.
+
+    On histograms the slide is a rotation: by h for the a-part, whose c
+    values below h wrap around, and by b_h = r_h - 1 + c for the b-part.  It
+    agrees with the value maps of park_sort, so that the parked parts are
+    sorted and stable, exactly when h b-values lie below b_h and row h holds
+    b_h; that is checked here.
+    """
     m, n = u.shape.m, u.shape.n
-    r = _r_entries(u.a, u.b, m, n)
-    rh = max(r)
-    h = r.index(rh) + 1
-    bh = u.b[h - 1]
-    k = bh - rh + 2
-    b1 = [v - bh + (m if i <= h - 1 else 0) for i, v in enumerate(u.b, start=1)]
-    a1 = [v - (h - 1) + (n if j <= k - 1 else 0) for j, v in enumerate(u.a, start=1)]
-    a2 = a1[k - 1:] + a1[: k - 1]
-    b2 = b1[h - 1:] + b1[: h - 1]
-    if any(a2[i] > a2[i + 1] for i in range(len(a2) - 1)) or any(
-        b2[j] > b2[j + 1] for j in range(len(b2) - 1)
-    ):
-        raise RuntimeError("park_sort produced an unsorted result; this cannot happen")
-    sink = None
-    if u.sink is not None:
-        sink = degree(u) - sum(a2) - sum(b2)
-    return Configuration(u.shape, tuple(a2), sink, tuple(b2)), h - 1
+    a, sink, b = stable_parts(m, n, u.a, u.require_sink(), u.b)
+    a, b = value_counts(n - 1, a), value_counts(m - 1, b)
+    gaps, sink, h, top = _slide(_gaps_from_counts(a, b), sink)
+    bh = top - 1 + sum(islice(a, h))
+    if not (0 <= bh < m and b[bh] and sum(islice(b, bh)) == h):
+        raise RuntimeError("the parked parts are not sorted and stable; this cannot happen")
+    return a[h:] + a[:h], sink, b[bh:] + b[:bh], gaps
 
 
 def parking_representative(u: Configuration) -> Configuration:
     """sort(park(u)) for an arbitrary full configuration: stabilize, sort,
     then apply the closed-form parking map.  O(m+n) overall."""
-    return park_sort(sort_config(stabilize(u)))
+    a, sink, b, _ = _parked_counts(u)
+    return Configuration(u.shape, tuple(from_counts(a)), sink, tuple(from_counts(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +366,9 @@ def greedy_step(u: Configuration) -> Configuration:
     b-vertex (its value is 0 on a parking sorted configuration) and re-park.
     Degree drops by exactly 1; on a full configuration the sink absorbs the
     north moves of the slide."""
-    if not is_parking_sorted(u):
-        raise SandpileError("greedy_step expects a parking sorted configuration")
-    v = Configuration(u.shape, u.a, u.sink, (u.b[0] - 1,) + u.b[1:])
-    return park_sort(v)
+    gaps = _parking_gaps(u, "greedy_step")
+    gaps[0] -= 1
+    return _park_parts(u.shape, u.a, u.sink, (u.b[0] - 1,) + u.b[1:], gaps)
 
 
 def greedy_step_rvector(r: RVector) -> RVector:
@@ -298,24 +386,27 @@ def greedy_step_rvector(r: RVector) -> RVector:
 # rank: closed formula, greedy algorithm, scan algorithm, fast pipeline
 
 
-def rank_parking_sorted(u: Configuration) -> int:
-    """Rank of a parking sorted configuration from its sink value and row
-    gaps: write sink+1 = nQ+R and sum the per-row counts of cells the rank
-    loop visits right of the red path."""
-    if not is_parking_sorted(u):
-        raise SandpileError("rank_parking_sorted expects a parking sorted configuration")
-    sink = u.require_sink()
+def rank_from_gaps(gaps, sink: int) -> int:
+    """Rank of the parking sorted configuration with these row gaps and this
+    sink value; no validation.  Writes sink+1 = nQ+R and sums the per-row
+    counts of cells the rank loop visits right of the red path: row i
+    (0-based) contributes max(0, Q + [i < R] + r_i - 1)."""
     if sink < 0:
         return -1
-    n = u.shape.n
-    q, rem = divmod(sink + 1, n)
-    r = _r_entries(u.a, u.b, u.shape.m, n)
+    q, rem = divmod(sink + 1, len(gaps))
     total = 0
-    for i in range(1, n + 1):
-        term = q + (1 if i <= rem else 0) + r[i - 1] - 1
+    for i, r in enumerate(gaps):
+        term = q + r - (i >= rem)
         if term > 0:
             total += term
     return total - 1
+
+
+def rank_parking_sorted(u: Configuration) -> int:
+    """Rank of a parking sorted configuration from its sink value and row
+    gaps (see rank_from_gaps)."""
+    gaps = _parking_gaps(u, "rank_parking_sorted")
+    return rank_from_gaps(gaps, u.require_sink())
 
 
 def rank_greedy(u: Configuration) -> tuple[int, ProofOfRank]:
@@ -324,23 +415,25 @@ def rank_greedy(u: Configuration) -> tuple[int, ProofOfRank]:
     Repeatedly removes one chip from a zero b-vertex of the current parking
     representative until it stops being effective.  The removals are tracked
     back through every sorting rotation so the proof applies to the input's
-    own vertex labels.
+    own vertex labels.  A removal lowers the first row gap by one, and the
+    re-parking slide needs only the gaps and the sink, so the loop carries
+    those and the b-slot permutation, not the configuration.
     """
-    u.require_sink()
-    w = stabilize(u)
     m, n = u.shape.m, u.shape.n
-    perm = sorted(range(n), key=lambda j: w.b[j])  # slot -> original b-index
-    v = Configuration(u.shape, tuple(sorted(w.a)), w.sink, tuple(w.b[j] for j in perm))
-    v, rot = _park_sort_rotation(v)
-    perm = perm[rot:] + perm[:rot]
+    a, sink, b = stable_parts(m, n, u.a, u.require_sink(), u.b)
+    perm = sorted(range(n), key=b.__getitem__)  # slot -> original b-index
+    gaps = _gaps_from_counts(value_counts(n - 1, a), value_counts(m - 1, b))
     removals = [0] * n
     rank = -1
-    while v.sink >= 0:
+    while True:
+        gaps, sink, rot, _ = _slide(gaps, sink)
+        perm = perm[rot:] + perm[:rot]
+        if sink < 0:
+            break
+        # the first b-value of a parking sorted configuration is 0: take its chip
         removals[perm[0]] += 1
         rank += 1
-        v = Configuration(v.shape, v.a, v.sink, (v.b[0] - 1,) + v.b[1:])
-        v, rot = _park_sort_rotation(v)
-        perm = perm[rot:] + perm[:rot]
+        gaps[0] -= 1
     proof = ProofOfRank(config(m, n, [0] * (m - 1), 0, removals))
     return rank, proof
 
@@ -368,7 +461,8 @@ def rank_scan(u: Configuration) -> int:
 def rank_of(u: Configuration) -> int:
     """Rank of an arbitrary full configuration in O(m+n): stabilize, sort,
     park in closed form, then apply the sink/row-gap formula."""
-    return rank_parking_sorted(parking_representative(u))
+    _, sink, _, gaps = _parked_counts(u)
+    return rank_from_gaps(gaps, sink)
 
 
 # ---------------------------------------------------------------------------

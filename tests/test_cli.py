@@ -60,6 +60,27 @@ class TestRank:
         assert code == 0
         assert out.splitlines()[0] == "rank 12"
 
+    def test_value_starting_with_a_dash_is_input_not_a_flag(self, capsys):
+        code, _, err = run(capsys, "rank", "-i", "-1e+16")
+        assert code == 2 and "object" in err
+        code, out, _ = run(capsys, "rank", "--input", RUN75)
+        assert code == 0 and json.loads(out)["rank"] == 12
+
+    def test_json_array_is_parsed_not_opened(self, capsys):
+        code, _, err = run(capsys, "rank", "-i", "[1,2]")
+        assert code == 2 and "object" in err and "No such file" not in err
+
+    def test_file_path(self, capsys, tmp_path):
+        path = tmp_path / "u.json"
+        path.write_text(RUN75)
+        code, out, _ = run(capsys, "rank", "-i", str(path))
+        assert code == 0 and json.loads(out)["rank"] == 12
+        code, _, err = run(capsys, "rank", "-i", str(tmp_path / "missing.json"))
+        assert code == 2 and "No such file" in err
+        path.write_text('{"m":2,')
+        code, _, err = run(capsys, "rank", "-i", str(path))
+        assert code == 2 and "malformed" in err
+
     def test_stdin(self, capsys, monkeypatch):
         import io
 
@@ -170,6 +191,20 @@ class TestBench:
         a = generate_random_configuration(40, random.Random(940))
         b = generate_random_configuration(40, random.Random(940))
         assert a == b
+
+    def test_generated_degrees_cover_the_three_regimes(self):
+        from bipartite_sandpile.cli import generate_random_configuration
+        from bipartite_sandpile.core import degree
+        import random
+
+        rng = random.Random(5)
+        seen = set()
+        for total in (2, 3, 40, 41) * 15:
+            u = generate_random_configuration(total, rng)
+            g = (u.shape.m - 1) * (u.shape.n - 1)
+            d = degree(u)
+            seen.add(0 if d < 0 else 1 if d <= 2 * g - 2 else 2)
+        assert seen == {0, 1, 2}
 
     def test_run_bench_rows(self):
         rows = run_bench([32, 64], seed=1, runs=1)

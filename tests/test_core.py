@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bipartite_sandpile.core import (
+    GraphShape,
     SandpileError,
     config,
     counting_sort,
@@ -236,6 +237,17 @@ class TestJson:
         data[field] = value
         with pytest.raises(SandpileError):
             from_json_dict(data)
+
+
+class TestGraphShape:
+    @pytest.mark.parametrize("m,n", [(2.5, 3), (True, 2), (2, False), ("2", 3), (2, None), (3.0, 3)])
+    def test_non_int_sizes_rejected(self, m, n):
+        with pytest.raises(SandpileError):
+            GraphShape(m, n)
+
+    def test_sizes_below_one_rejected(self):
+        with pytest.raises(SandpileError):
+            GraphShape(0, 3)
 
 
 class TestParkingRepresentativeEquivalence:

@@ -94,6 +94,16 @@ class TestStatistics:
                 assert (dx, dy) in ((-1, 0), (0, 1))
 
 
+    def test_non_parking_or_partial_rejected(self):
+        for stat in (xpara, ypara):
+            with pytest.raises(SandpileError):
+                stat(config(2, 3, [1], 0, [0, 1, 1]))
+            with pytest.raises(SandpileError):
+                stat(config(2, 3, [0], 0, [0, 5, 1]))
+            with pytest.raises(SandpileError):
+                stat(RUN75)
+
+
 class TestBoundarySets:
     def test_k43_example(self):
         u = config(4, 3, [0, 0, 0], None, [0, 0, 1])

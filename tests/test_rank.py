@@ -11,6 +11,7 @@ from bipartite_sandpile.core import (
     degree,
     is_effective,
     sort_config,
+    stabilize,
 )
 from bipartite_sandpile.rank import (
     canonical_divisor,
@@ -26,6 +27,7 @@ from bipartite_sandpile.rank import (
     r_vector,
     rank_greedy,
     rank_of,
+    rank_from_gaps,
     rank_parking_sorted,
     rank_scan,
     shift_east,
@@ -33,7 +35,7 @@ from bipartite_sandpile.rank import (
     shift_south,
     shift_west,
 )
-from bipartite_sandpile import oracle
+from bipartite_sandpile import cylindric, genfunc, oracle
 
 from conftest import stable_sorted_partials
 
@@ -373,6 +375,59 @@ class TestRankAlgorithms:
             rng.shuffle(pb)
             v = config(m, n, [u.a[i] for i in pa], u.sink, [u.b[j] for j in pb])
             assert rank_of(v) == rank_of(u)
+
+
+# values far outside the stable range, beyond 2^63 included
+WIDE_INTS = st.integers(-40, 40) | st.integers(-(2**70), 2**70)
+
+
+class TestFusedPipeline:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda m: st.integers(1, 7).flatmap(
+                lambda n: st.tuples(
+                    st.just(m),
+                    st.just(n),
+                    st.lists(WIDE_INTS, min_size=m - 1, max_size=m - 1),
+                    WIDE_INTS,
+                    st.lists(WIDE_INTS, min_size=n, max_size=n),
+                )
+            )
+        )
+    )
+    def test_equals_composition_of_validating_layers(self, parts):
+        u = config(*parts)
+        parked = park_sort(sort_config(stabilize(u)))
+        assert parking_representative(u) == parked
+        assert rank_of(u) == rank_parking_sorted(parked)
+        assert degree(parked) == degree(u)
+
+    def test_one_sided_shapes_and_huge_sinks(self):
+        for m, n in [(1, 1), (1, 5), (5, 1)]:
+            for sink in (-(2**80), -1, 0, 7, 2**80):
+                u = config(m, n, [3 * 2**66] * (m - 1), sink, [-(2**65)] * n)
+                parked = park_sort(sort_config(stabilize(u)))
+                assert parking_representative(u) == parked
+                assert rank_of(u) == rank_parking_sorted(parked)
+
+    @pytest.mark.parametrize("m,n", [(1, 3), (3, 1), (3, 3), (4, 3), (2, 5)])
+    def test_parked_gap_identity(self, m, n):
+        for v in stable_sorted_partials(m, n):
+            r = r_vector(v).entries
+            top = max(r)
+            h = r.index(top)
+            expected = [x - top + 1 for x in r[h:]] + [x - top + 2 for x in r[:h]]
+            assert list(r_vector(park_sort(v)).entries) == expected
+
+    @pytest.mark.parametrize("m,n", [(1, 4), (3, 3), (4, 2), (2, 5)])
+    def test_rank_from_gaps_matches_the_cylindric_counts(self, m, n):
+        for u in genfunc.enumerate_parking_sorted(GraphShape(m, n)).configs:
+            gaps = r_vector(u).entries
+            for sink in range(-3, 3 * m * n):
+                rank = rank_from_gaps(gaps, sink)
+                assert rank == cylindric.rank_via_cylindric(u.with_sink(sink))
+                assert rank + 1 == genfunc._stats_from_gaps(gaps, sink)[1]
 
 
 class TestCanonicalDivisor:
