@@ -18,18 +18,32 @@ from .core import (
     Configuration,
     GraphShape,
     SandpileError,
+    degree,
     dumps,
     from_json_dict,
     sort_config,
     to_json_dict,
 )
-from .rank import parking_representative, r_vector, rank_greedy, rank_of, rank_scan
+from .rank import (
+    parking_representative,
+    r_vector,
+    rank_greedy,
+    rank_of,
+    rank_scan,
+    rank_with_proof,
+    verify_rank_proof,
+)
 from .series import SeriesRing
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 1
 
 DEFAULT_BENCH_SIZES = [100_000 * 2**k for k in range(8)]  # 1e5 .. 1.28e7
+
+# rank --check runs rank_greedy and rank_scan, whose work grows with the
+# degree times m+n (rank_scan at K_{63,1} and degree 1024 takes about 1 s)
+CHECK_MAX_VERTICES = 64  # m + n
+CHECK_MAX_DEGREE = 1024
 
 
 def _read_configuration(raw: str) -> Configuration:
@@ -48,8 +62,10 @@ def _read_configuration(raw: str) -> Configuration:
             raise UsageError(f"input is neither JSON ({exc}) nor a readable file ({err})")
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # as below, or not JSON at all
             raise UsageError(f"malformed configuration JSON in {raw}: {err}")
+    except ValueError as exc:  # JSON with an integer past Python's int-string limit
+        raise UsageError(f"malformed configuration JSON: {exc}")
     try:
         return from_json_dict(data)
     except SandpileError as exc:
@@ -78,36 +94,46 @@ def _emit_config(u: Configuration, fmt: str) -> str:
 
 def cmd_rank(args: argparse.Namespace) -> int:
     u = _require_sink(_read_configuration(args.input))
-    park = parking_representative(u)
-    value = rank_of(u)
-    gaps = r_vector(park)
+    cert = rank_with_proof(u)
     report: dict = {
-        "rank": value,
-        "parking_sorted": to_json_dict(park),
-        "r_vector": list(gaps.entries),
+        "rank": cert.rank,
+        "parking_sorted": to_json_dict(cert.parking),
+        "r_vector": list(cert.gaps.entries),
     }
-    if args.check or args.proof:
-        greedy_value, proof = rank_greedy(u)
     if args.check:
+        _require_checkable(u)
+        greedy_value, greedy_proof = rank_greedy(u)
         scan_value = rank_scan(u)
-        if not (value == greedy_value == scan_value):
+        same_proof = cert.proof == greedy_proof
+        verified = verify_rank_proof(u, cert.rank, cert.proof)
+        if not (cert.rank == greedy_value == scan_value and same_proof and verified):
             print(
-                f"rank disagreement: pipeline={value} greedy={greedy_value} scan={scan_value}",
+                f"rank disagreement: pipeline={cert.rank} greedy={greedy_value} scan={scan_value}"
+                f" same proof={same_proof} proof verified={verified}",
                 file=sys.stderr,
             )
             return DOMAIN_ERROR
         report["checked"] = True
     if args.proof:
-        report["proof"] = to_json_dict(proof.f)
+        report["proof"] = to_json_dict(cert.proof.f)
     if args.format == "json":
         print(json.dumps(report))
     else:
-        print(f"rank {value}")
-        print("parking " + _emit_config(park, "text"))
-        print("rvector " + " ".join(map(str, gaps.entries)))
+        print(f"rank {cert.rank}")
+        print("parking " + _emit_config(cert.parking, "text"))
+        print("rvector " + " ".join(map(str, cert.gaps.entries)))
         if args.proof:
-            print("proof " + _emit_config(proof.f, "text"))
+            print("proof " + _emit_config(cert.proof.f, "text"))
     return 0
+
+
+def _require_checkable(u: Configuration) -> None:
+    size, deg = u.shape.m + u.shape.n, degree(u)
+    if size > CHECK_MAX_VERTICES or deg > CHECK_MAX_DEGREE:
+        raise SandpileError(
+            f"rank --check accepts m + n <= {CHECK_MAX_VERTICES} and degree <= {CHECK_MAX_DEGREE},"
+            f" got m + n = {size} and degree {deg}"
+        )
 
 
 def cmd_park(args: argparse.Namespace) -> int:
@@ -228,6 +254,22 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # parser
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "integer"  # argparse names the type in its error message
+    return parse
+
+
+_cap = _int_at_least(0)
+
+
 def _sizes_list(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part]
@@ -253,7 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank", help="rank of a configuration (linear-time pipeline)")
     add_input(p)
     p.add_argument("--proof", action="store_true", help="include a proof for the rank")
-    p.add_argument("--check", action="store_true", help="cross-run the other two algorithms")
+    p.add_argument(
+        "--check",
+        action="store_true",
+        help="cross-run the reference routes rank_greedy and rank_scan and verify the proof;"
+        f" needs m + n <= {CHECK_MAX_VERTICES} and degree <= {CHECK_MAX_DEGREE}",
+    )
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(handler=cmd_rank)
 
@@ -283,21 +330,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
     p.add_argument("--table", choices=("xy", "dr"), default="xy")
-    p.add_argument("--xymax", type=int, default=10, help="exponent cap for the xy table")
+    p.add_argument("--xymax", type=_cap, default=10, help="exponent cap for the xy table")
     p.add_argument("--dmin", type=int, default=-3)
     p.add_argument("--dmax", type=int, default=17)
     p.set_defaults(handler=cmd_enumerate)
 
     p = sub.add_parser("verify-gf", help="check the product formula for the family series")
-    p.add_argument("--wmax", type=int, default=4)
-    p.add_argument("--hmax", type=int, default=4)
-    p.add_argument("--xymax", type=int, default=6)
+    p.add_argument("--wmax", type=_cap, default=4)
+    p.add_argument("--hmax", type=_cap, default=4)
+    p.add_argument("--xymax", type=_cap, default=6)
     p.set_defaults(handler=cmd_verify_gf)
 
     p = sub.add_parser("bench", help="wall-time scaling of the rank pipeline")
     p.add_argument("--sizes", type=_sizes_list, default=None, help="comma-separated m+n values")
     p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--runs", type=int, default=5)
+    p.add_argument("--runs", type=_int_at_least(1), default=5)
     p.set_defaults(handler=cmd_bench)
     return parser
 

@@ -311,6 +311,6 @@ def dumps(u: Configuration) -> str:
 def loads(text: str) -> Configuration:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the int-string limit
         raise SandpileError(f"malformed configuration JSON: {exc}") from None
     return from_json_dict(data)

@@ -1,5 +1,6 @@
 """Rank computation on K_{m,n}: row-gap vectors, grid-shift operators, the
-closed-form parking map, and three mutually checking rank algorithms.
+closed-form parking map, the rank formula with its linear-time proof, and two
+reference rank algorithms (greedy and scan) that check it.
 
 Everything here works on sorted configurations.  The graphical picture behind
 the code: a stable sorted configuration is a pair of monotone lattice paths in
@@ -12,11 +13,12 @@ Configuration, check what they require of it (stable, sorted, parking, a
 sink) and hand plain tuples or lists to kernels that trust their input:
 ``row_gaps``, the parking slide ``_slide`` and the rank formula
 ``rank_from_gaps`` here, ``stable_parts``/``value_counts``/``from_counts`` in
-``core``.  ``rank_of`` and ``parking_representative`` run stabilize, counting
-sort, park and formula as one pass over these kernels (``_parked_counts``),
-with no Configuration built in between and each gap computed once.  The
-algorithm's own "cannot happen" checks, that the parked parts are sorted and
-stable and the parked gaps at most 1, are made once and raise RuntimeError.
+``core``.  ``rank_of``, ``parking_representative`` and ``rank_with_proof``
+run stabilize, counting sort, park and formula as one pass over these kernels
+(``_park_pass``), with no Configuration built in between and each gap
+computed once.  The algorithm's own "cannot happen" checks, that the parked
+parts are sorted and stable and the parked gaps at most 1, are made once and
+raise RuntimeError.
 
 Parking carries the row gaps r_1..r_n along instead of rescanning them.  Let
 h be the first row with the largest gap r_h, b_h its b-value and c the number
@@ -30,13 +32,30 @@ are therefore
 
 all at most 1 because no earlier row reaches r_h.  The parked sink follows
 from degree conservation in O(1), and the rank needs nothing else.
+
+The rank certificate comes from the same pass.  Write sink+1 = nQ+R for the
+parked sink and r_0..r_(n-1) for the parked gaps (0-based rows).  The rank
+is the sum over rows of t_i = max(0, Q + [i < R] + r_i - 1), minus 1.  Let
+sigma be the stable sort permutation of the stabilized b-values (slot ->
+input b-label), rotated left by h; slot i of the rotation is row i of the
+parked configuration, whose b-values are the stable ones lowered by b_h
+mod m.  Then
+
+    f(b_sigma(i)) = t_i,  f = 0 on the a-part and the sink,
+
+is a proof of the rank: f >= 0, deg f = rank + 1 and u - f is not
+effective.  It is label for label the proof that the greedy loop
+(``rank_greedy``) builds by rank + 1 chip removals and re-parks, and it
+costs one counting sort of the b-values, so ``rank_with_proof`` is O(m+n);
+``verify_rank_proof`` checks a proof with one more parking pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
-from operator import le, sub
+from operator import add, le, sub
+from typing import NamedTuple
 
 from .core import (
     Configuration,
@@ -64,6 +83,18 @@ class RVector:
 
     entries: tuple[int, ...]
     shape: GraphShape
+
+
+@dataclass(frozen=True)
+class RankCertificate:
+    """Everything ``rank --proof`` reports about a full configuration: its
+    rank, its sorted parking representative, that representative's row gaps
+    and a proof of the rank on the input's own vertex labels."""
+
+    rank: int
+    parking: Configuration
+    gaps: RVector
+    proof: ProofOfRank
 
 
 @dataclass(frozen=True)
@@ -329,10 +360,20 @@ def _sorted_below(values: list[int], bound: int) -> bool:
     )
 
 
-def _parked_counts(u: Configuration) -> tuple[list[int], int, list[int], list[int]]:
-    """Parked (a-histogram, sink, b-histogram, gaps) of a full configuration:
-    stabilize, counting sort and park in one pass, the sorted parts never
-    built.
+class _Pass(NamedTuple):
+    """One stabilize/count/slide pass over a full configuration."""
+
+    a_counts: list[int]  # histograms of the stable parts, before the slide
+    b_counts: list[int]
+    gaps: list[int]  # parked row gaps
+    sink: int  # parked sink
+    h: int  # parking row, 0-based: the slide rotates the b-slots by h
+    bh: int  # b-value of row h: the slide rotates the b-histogram by bh
+
+
+def _park_pass(u: Configuration) -> _Pass:
+    """Stabilize, counting sort and park a full configuration in one pass,
+    the sorted parts never built.
 
     On histograms the slide is a rotation: by h for the a-part, whose c
     values below h wrap around, and by b_h = r_h - 1 + c for the b-part.  It
@@ -342,19 +383,24 @@ def _parked_counts(u: Configuration) -> tuple[list[int], int, list[int], list[in
     """
     m, n = u.shape.m, u.shape.n
     a, sink, b = stable_parts(m, n, u.a, u.require_sink(), u.b)
-    a, b = value_counts(n - 1, a), value_counts(m - 1, b)
+    a, b = value_counts(n - 1, a), value_counts(m - 1, b)  # frees the stable parts
     gaps, sink, h, top = _slide(_gaps_from_counts(a, b), sink)
     bh = top - 1 + sum(islice(a, h))
     if not (0 <= bh < m and b[bh] and sum(islice(b, bh)) == h):
         raise RuntimeError("the parked parts are not sorted and stable; this cannot happen")
-    return a[h:] + a[:h], sink, b[bh:] + b[:bh], gaps
+    return _Pass(a, b, gaps, sink, h, bh)
+
+
+def _parked_configuration(shape: GraphShape, p: _Pass) -> Configuration:
+    a, b, h, bh = p.a_counts, p.b_counts, p.h, p.bh
+    a, b = from_counts(a[h:] + a[:h]), from_counts(b[bh:] + b[:bh])
+    return Configuration(shape, tuple(a), p.sink, tuple(b))
 
 
 def parking_representative(u: Configuration) -> Configuration:
     """sort(park(u)) for an arbitrary full configuration: stabilize, sort,
     then apply the closed-form parking map.  O(m+n) overall."""
-    a, sink, b, _ = _parked_counts(u)
-    return Configuration(u.shape, tuple(from_counts(a)), sink, tuple(from_counts(b)))
+    return _parked_configuration(u.shape, _park_pass(u))
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +429,7 @@ def greedy_step_rvector(r: RVector) -> RVector:
 
 
 # ---------------------------------------------------------------------------
-# rank: closed formula, greedy algorithm, scan algorithm, fast pipeline
+# rank: closed formula, greedy and scan reference routes, fast pipeline and proof
 
 
 def rank_from_gaps(gaps, sink: int) -> int:
@@ -410,7 +456,8 @@ def rank_parking_sorted(u: Configuration) -> int:
 
 
 def rank_greedy(u: Configuration) -> tuple[int, ProofOfRank]:
-    """Greedy rank algorithm; also returns a proof configuration.
+    """Greedy rank algorithm; also returns a proof configuration.  The
+    reference route for rank_with_proof: O(rank * n), not linear.
 
     Repeatedly removes one chip from a zero b-vertex of the current parking
     representative until it stops being effective.  The removals are tracked
@@ -441,7 +488,8 @@ def rank_greedy(u: Configuration) -> tuple[int, ProofOfRank]:
 def rank_scan(u: Configuration) -> int:
     """Scan rank algorithm: walk the grid northeast along the green path,
     paying one sink unit per north step and scoring the north steps whose
-    crossed cell lies right of the red cut."""
+    crossed cell lies right of the red cut.  A reference route: its work
+    grows with the parked sink times m+n."""
     u.require_sink()
     m, n = u.shape.m, u.shape.n
     v = parking_representative(u)
@@ -461,8 +509,56 @@ def rank_scan(u: Configuration) -> int:
 def rank_of(u: Configuration) -> int:
     """Rank of an arbitrary full configuration in O(m+n): stabilize, sort,
     park in closed form, then apply the sink/row-gap formula."""
-    _, sink, _, gaps = _parked_counts(u)
-    return rank_from_gaps(gaps, sink)
+    p = _park_pass(u)
+    return rank_from_gaps(p.gaps, p.sink)
+
+
+def _row_terms(gaps: list[int], sink: int) -> list[int]:
+    """The per-row summands of rank_from_gaps, max(0, Q + [i < R] + r_i - 1)
+    with sink+1 = nQ+R; all 0 when sink < 0, because every r_i <= 1."""
+    n = len(gaps)
+    q, rem = divmod(sink + 1, n)
+    rows = map(add, gaps, chain(repeat(q, rem), repeat(q - 1, n - rem)))
+    return [t if t > 0 else 0 for t in rows]
+
+
+def rank_with_proof(u: Configuration) -> RankCertificate:
+    """Rank, parking representative, row gaps and proof of a full
+    configuration from one stabilize/count/slide pass, in O(m+n).
+
+    The proof gives b-vertex j the summand of the parked row that j's value
+    lands in (see the module docstring); it equals rank_greedy's proof.
+    """
+    m, n = u.shape.m, u.shape.n
+    p = _park_pass(u)
+    terms = _row_terms(p.gaps, p.sink)
+    # stable counting sort of the stable b-values, the residues mod m (not
+    # kept by the pass, so that rank_of's peak memory does not grow): slot s
+    # of the sorted part is parked row s - h (mod n)
+    start = list(accumulate(p.b_counts, initial=0))
+    proof = []
+    for v in u.b:
+        v %= m
+        s = start[v]
+        start[v] = s + 1
+        proof.append(terms[s - p.h])
+    return RankCertificate(
+        sum(terms) - 1,
+        _parked_configuration(u.shape, p),
+        RVector(tuple(p.gaps), u.shape),
+        ProofOfRank(config(m, n, [0] * (m - 1), 0, proof)),
+    )
+
+
+def verify_rank_proof(u: Configuration, rank: int, proof: ProofOfRank) -> bool:
+    """Whether proof shows rank(u) <= rank: f non-negative, supported on the
+    b-part, of degree rank + 1, and u - f not effective.  One parking pass
+    of u - f decides the last, so the check is O(m+n)."""
+    f = proof.f
+    if f.shape != u.shape or any(f.a) or f.sink or min(f.b) < 0 or sum(f.b) != rank + 1:
+        return False
+    rest = Configuration(u.shape, u.a, u.require_sink(), tuple(map(sub, u.b, f.b)))
+    return _park_pass(rest).sink < 0
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipartite_sandpile.cli import main, run_bench
+from bipartite_sandpile.cli import CHECK_MAX_DEGREE, CHECK_MAX_VERTICES, main, run_bench
+from bipartite_sandpile.core import from_json_dict, to_json_dict
+from bipartite_sandpile.rank import parking_representative, r_vector, rank_greedy
 
 RUN75 = '{"m":7,"n":5,"a":[0,0,0,3,3,3],"sink":21,"b":[0,0,0,3,3]}'
 
@@ -41,6 +43,16 @@ class TestRank:
         _, alone, _ = run(capsys, "rank", "-i", RUN75, "--proof", "--format", "text")
         _, checked, _ = run(capsys, "rank", "-i", RUN75, "--check", "--proof", "--format", "text")
         assert checked == alone and "proof " in alone
+
+    def test_proof_of_the_running_example(self, capsys):
+        code, out, _ = run(capsys, "rank", "-i", RUN75, "--proof")
+        assert code == 0
+        assert json.loads(out) == {
+            "rank": 12,
+            "parking_sorted": {"m": 7, "n": 5, "a": [0, 0, 0, 3, 3, 3], "sink": 21, "b": [0, 0, 0, 3, 3]},
+            "r_vector": [1, -2, -2, 1, -2],
+            "proof": {"m": 7, "n": 5, "a": [0] * 6, "sink": 0, "b": [5, 2, 1, 4, 1]},
+        }
 
     def test_check_alone_prints_no_proof(self, capsys):
         code, out, _ = run(capsys, "rank", "-i", RUN75, "--check", "--format", "text")
@@ -155,24 +167,60 @@ class TestVerifyGf:
         assert code == 0 and "PASS" in out
 
 
+def _random_payloads(count: int = 100):
+    import random
+
+    rng = random.Random(123)
+    for _ in range(count):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        yield json.dumps(
+            {
+                "m": m,
+                "n": n,
+                "a": [rng.randint(-6, 12) for _ in range(m - 1)],
+                "sink": rng.randint(-6, 20),
+                "b": [rng.randint(-6, 12) for _ in range(n)],
+            }
+        )
+
+
 class TestRankCheckOnRandoms:
     def test_hundred_random_inputs_agree(self, capsys):
-        import random
-
-        rng = random.Random(123)
-        for _ in range(100):
-            m, n = rng.randint(1, 6), rng.randint(1, 6)
-            payload = json.dumps(
-                {
-                    "m": m,
-                    "n": n,
-                    "a": [rng.randint(-6, 12) for _ in range(m - 1)],
-                    "sink": rng.randint(-6, 20),
-                    "b": [rng.randint(-6, 12) for _ in range(n)],
-                }
-            )
+        for payload in _random_payloads():
             code, out, _ = run(capsys, "rank", "-i", payload, "--check")
             assert code == 0 and json.loads(out)["checked"] is True
+
+    def test_proof_output_matches_the_reference_routes(self, capsys):
+        # the greedy loop's proof, the parking map and the gap scan of the
+        # parked configuration, each computed on its own
+        for payload in _random_payloads():
+            u = from_json_dict(json.loads(payload))
+            code, out, _ = run(capsys, "rank", "-i", payload, "--proof")
+            assert code == 0
+            report = json.loads(out)
+            value, proof = rank_greedy(u)
+            park = parking_representative(u)
+            assert report["rank"] == value
+            assert report["proof"] == to_json_dict(proof.f)
+            assert report["parking_sorted"] == to_json_dict(park)
+            assert report["r_vector"] == list(r_vector(park).entries)
+
+    def test_check_refuses_large_inputs(self, capsys):
+        m = CHECK_MAX_VERTICES // 2
+        n = CHECK_MAX_VERTICES - m
+        at_bound = {"m": m, "n": n, "a": [0] * (m - 1), "sink": 3, "b": [0] * n}
+        code, out, _ = run(capsys, "rank", "-i", json.dumps(at_bound), "--check")
+        assert code == 0 and json.loads(out)["checked"] is True
+        too_wide = dict(at_bound, n=n + 1, b=[0] * (n + 1))
+        code, out, err = run(capsys, "rank", "-i", json.dumps(too_wide), "--check")
+        assert code == 1 and out == "" and "m + n <=" in err
+        code, out, _ = run(capsys, "rank", "-i", json.dumps(too_wide))
+        assert code == 0
+        too_high = {"m": 1, "n": 1, "a": [], "sink": CHECK_MAX_DEGREE + 1, "b": [0]}
+        code, out, err = run(capsys, "rank", "-i", json.dumps(too_high), "--check")
+        assert code == 1 and "degree <=" in err
+        code, out, _ = run(capsys, "rank", "-i", json.dumps(dict(too_high, sink=CHECK_MAX_DEGREE)), "--check")
+        assert code == 0 and json.loads(out)["rank"] == CHECK_MAX_DEGREE
 
 
 class TestBench:
@@ -246,3 +294,27 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    # argparse rejects these values itself, like any other bad argument
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-gf", "--wmax", "-1"],
+            ["enumerate", "3", "3", "--xymax", "-1"],
+            ["bench", "--runs", "0"],
+        ],
+    )
+    def test_out_of_range_argument(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "expected an integer >=" in capsys.readouterr().err
+
+    def test_integer_past_the_int_string_limit_as_the_input(self, capsys):
+        code, _, err = run(capsys, "rank", "-i", "9" * 5000)
+        assert code == 2 and "malformed configuration JSON" in err
+
+    def test_integer_past_the_int_string_limit_as_the_sink(self, capsys):
+        text = '{"m":1,"n":1,"a":[],"sink":%s,"b":[0]}' % ("9" * 5000)
+        code, _, err = run(capsys, "rank", "-i", text)
+        assert code == 2 and "malformed configuration JSON" in err

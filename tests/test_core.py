@@ -220,6 +220,11 @@ class TestJson:
         with pytest.raises(SandpileError):
             from_json_dict({"m": 2, "n": 2, "a": [0]})
 
+    def test_malformed_text(self):
+        for text in ('{"m": 2,', '{"m":1,"n":1,"a":[],"sink":%s,"b":[0]}' % ("9" * 5000)):
+            with pytest.raises(SandpileError, match="malformed"):
+                loads(text)
+
     def test_non_integer_values(self):
         with pytest.raises(SandpileError):
             from_json_dict({"m": 2, "n": 2, "a": [0.5], "sink": 0, "b": [0, 0]})

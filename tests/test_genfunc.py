@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from bipartite_sandpile.core import GraphShape, SandpileError, config, degree
@@ -52,6 +54,17 @@ XY_K53 = {
 class TestEnumeration:
     def test_k53_count(self):
         assert len(enumerate_parking_sorted(GraphShape(5, 3)).configs) == 105
+
+    def test_counts_are_narayana_numbers(self):
+        # as many as parallelogram polyominoes in an m x n box:
+        # N(m+n-1, m) = C(m+n-1, m) C(m+n-1, m-1) / (m+n-1)
+        counts = {}
+        for m in range(1, 7):
+            for n in range(1, 7):
+                k = m + n - 1
+                counts[m, n] = len(enumerate_parking_sorted(GraphShape(m, n)).configs)
+                assert counts[m, n] == math.comb(k, m) * math.comb(k, m - 1) // k
+        assert counts[5, 5] == 1764 and counts[6, 6] == 19404
 
     def test_one_row_graphs(self):
         for n in range(1, 6):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from bipartite_sandpile.core import (
     GraphShape,
+    ProofOfRank,
     SandpileError,
     config,
     degree,
@@ -30,10 +32,12 @@ from bipartite_sandpile.rank import (
     rank_from_gaps,
     rank_parking_sorted,
     rank_scan,
+    rank_with_proof,
     shift_east,
     shift_north,
     shift_south,
     shift_west,
+    verify_rank_proof,
 )
 from bipartite_sandpile import cylindric, genfunc, oracle
 
@@ -428,6 +432,99 @@ class TestFusedPipeline:
                 rank = rank_from_gaps(gaps, sink)
                 assert rank == cylindric.rank_via_cylindric(u.with_sink(sink))
                 assert rank + 1 == genfunc._stats_from_gaps(gaps, sink)[1]
+
+
+def _small_grid(m: int, n: int):
+    """Every input with a-values in [-1, n], b-values in [-1, m] and degree
+    in [-2, 3g+2], g = (m-1)(n-1)."""
+    g = (m - 1) * (n - 1)
+    for a in itertools.product(range(-1, n + 1), repeat=m - 1):
+        for b in itertools.product(range(-1, m + 1), repeat=n):
+            for d in range(-2, 3 * g + 3):
+                yield config(m, n, a, d - sum(a) - sum(b), b)
+
+
+def _with_b(u, b):
+    return config(u.shape.m, u.shape.n, u.a, u.sink, b)
+
+
+def _minus(u, f):
+    return _with_b(u, [x - y for x, y in zip(u.b, f)])
+
+
+class TestRankCertificate:
+    @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 4) for n in range(1, 4)])
+    def test_equals_greedy_proof_on_exhaustive_grid(self, m, n):
+        for u in _small_grid(m, n):
+            cert = rank_with_proof(u)
+            assert (cert.rank, cert.proof) == rank_greedy(u)
+            assert verify_rank_proof(u, cert.rank, cert.proof)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda m: st.integers(1, 7).flatmap(
+                lambda n: st.tuples(
+                    st.just(m),
+                    st.just(n),
+                    st.lists(WIDE_INTS, min_size=m - 1, max_size=m - 1),
+                    WIDE_INTS,
+                    st.lists(WIDE_INTS, min_size=n, max_size=n),
+                )
+            )
+        )
+    )
+    def test_one_pass_gives_every_output(self, parts):
+        u = config(*parts)
+        cert = rank_with_proof(u)
+        assert cert.rank == rank_of(u)
+        assert cert.parking == parking_representative(u)
+        assert cert.gaps == r_vector(cert.parking)
+        assert verify_rank_proof(u, cert.rank, cert.proof)
+        if degree(u) <= 500:  # the greedy loop takes rank + 1 steps
+            assert cert.proof == rank_greedy(u)[1]
+
+    def test_verifier_rejects_tampered_proofs(self):
+        rng = random.Random(31)
+        moved_rejected = 0
+        for u in [RUN75.with_sink(21)] + [
+            config(m, n, [rng.randint(-4, 8) for _ in range(m - 1)], rng.randint(0, 20),
+                   [rng.randint(-4, 8) for _ in range(n)])
+            for m, n in [(rng.randint(2, 4), rng.randint(2, 4)) for _ in range(40)]
+        ]:
+            cert = rank_with_proof(u)
+            f = list(cert.proof.f.b)
+            for j in (j for j in range(len(f)) if f[j]):
+                lowered = _with_b(cert.proof.f, f[:j] + [f[j] - 1] + f[j + 1:])
+                # the wrong degree, and not a proof of rank - 1 either
+                assert not verify_rank_proof(u, cert.rank, ProofOfRank(lowered))
+                assert not verify_rank_proof(u, cert.rank - 1, ProofOfRank(lowered))
+                for k in range(len(f)):
+                    if k == j:
+                        continue
+                    g = list(f)
+                    g[j] -= 1
+                    g[k] += 1
+                    moved = ProofOfRank(_with_b(cert.proof.f, g))
+                    holds = oracle.park_by_definition(_minus(u, g)).sink < 0
+                    assert verify_rank_proof(u, cert.rank, moved) == holds
+                    moved_rejected += not holds
+        assert moved_rejected > 0
+
+    def test_verifier_rejects_a_wrong_degree_or_support(self):
+        u = RUN75.with_sink(21)
+        f = rank_with_proof(u).proof.f
+        raised = ProofOfRank(_with_b(f, (f.b[0] + 1,) + f.b[1:]))
+        assert verify_rank_proof(u, 13, raised) and not verify_rank_proof(u, 12, raised)
+        # the b-part alone is a proof of rank 12; with a chip more off the b-part it is none
+        for extra in (config(7, 5, [1, 0, 0, 0, 0, 0], 0, f.b), config(7, 5, [0] * 6, 1, f.b)):
+            assert not verify_rank_proof(u, 12, ProofOfRank(extra))
+            assert not verify_rank_proof(u, 13, ProofOfRank(extra))
+        assert not verify_rank_proof(u, 12, ProofOfRank(config(5, 7, [0] * 4, 0, f.b + (0, 0))))
+
+    def test_negative_degree_has_the_empty_proof(self):
+        cert = rank_with_proof(config(3, 3, [2, 2], -9, [0, 1, 2]))
+        assert cert.rank == -1 and not any(cert.proof.f.b)
 
 
 class TestCanonicalDivisor:
