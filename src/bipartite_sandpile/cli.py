@@ -45,6 +45,10 @@ DEFAULT_BENCH_SIZES = [100_000 * 2**k for k in range(8)]  # 1e5 .. 1.28e7
 CHECK_MAX_VERTICES = 64  # m + n
 CHECK_MAX_DEGREE = 1024
 
+# render draws every cell of the m x n grid and, with --cylindric, one label
+# per sink unit; at this size a text picture takes up to about two seconds
+RENDER_MAX_CELLS = 250_000
+
 
 def _read_configuration(raw: str) -> Configuration:
     """The configuration given by --input: "-" reads stdin; any other value
@@ -160,8 +164,12 @@ def cmd_rvector(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     u = _read_configuration(args.input)
+    labels = max(_require_sink(u).sink + 1, 0) if args.cylindric else 0
+    cells = u.shape.m * u.shape.n + labels
+    if cells > RENDER_MAX_CELLS:
+        raise SandpileError(f"render draws at most {RENDER_MAX_CELLS} cells, got {cells}")
     if args.cylindric:
-        spec = render.cylindric_diagram(_require_sink(u))
+        spec = render.cylindric_diagram(u)
     else:
         spec = render.diagram_of(sort_config(u), shade_intersection=args.shade)
     if args.format == "svg":
@@ -319,7 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(handler=cmd_rvector)
 
-    p = sub.add_parser("render", help="draw the diagram of a configuration")
+    render_help = (
+        "draw the diagram of a configuration; refuses more than"
+        f" {RENDER_MAX_CELLS} grid cells (m*n) plus labels (sink+1, with --cylindric)"
+    )
+    p = sub.add_parser("render", help=render_help, description=render_help)
     add_input(p)
     p.add_argument("--format", choices=("text", "svg"), default="text")
     p.add_argument("--cylindric", action="store_true", help="labelled cylindric strip")

@@ -258,16 +258,6 @@ def from_counts(counts: list[int]) -> list[int]:
     return list(chain.from_iterable(map(repeat, range(len(counts)), counts)))
 
 
-def is_effective(u: Configuration) -> bool:
-    """Whether u is toppling-equivalent to a non-negative configuration.
-
-    Equivalent to a non-negative sink value on the parking representative.
-    """
-    from . import rank
-
-    return rank.parking_representative(u).sink >= 0
-
-
 # ---------------------------------------------------------------------------
 # JSON form: {"m":, "n":, "a": [...], "sink": int|null, "b": [...]}
 

@@ -41,35 +41,29 @@ def _require_parking(u: Configuration, who: str) -> None:
         raise SandpileError(f"{who} expects a parking sorted configuration")
 
 
-def _red_column(u: Configuration, t: int) -> int:
-    """Column of the red cut in strip row t: the count of a-values <= t-1."""
-    return sum(1 for v in u.a if v <= t - 1)
+def label_cells(u: Configuration, labels) -> list[CylCell]:
+    """The cells carrying these labels, each with its side of the red cut:
+    label s = qn + t sits in row t at column b_t + q, which is right of the
+    red cut exactly when q >= 1 - r_t for the row gap r_t."""
+    _require_parking(u, "label_cells")
+    b, n = u.b, u.shape.n
+    gaps = row_gaps(u.a, b, n)
+    cells = []
+    for s in labels:
+        q, t = divmod(s, n)
+        cells.append(CylCell(s, b[t] + q, t, "right" if q + gaps[t] >= 1 else "left"))
+    return cells
 
 
 def label_cell(u: Configuration, s: int) -> CylCell:
     """The cell carrying label s, with its side of the red cut."""
-    _require_parking(u, "label_cell")
-    n = u.shape.n
-    q, t = divmod(s, n)
-    column = u.b[t] + q
-    side = "right" if column >= _red_column(u, t) else "left"
-    return CylCell(s, column, t, side)
+    return label_cells(u, (s,))[0]
 
 
 def rank_via_cylindric(u: Configuration) -> int:
     """Rank as -1 plus the number of right-side labels in [0, sink]."""
-    _require_parking(u, "rank_via_cylindric")
-    sink = u.require_sink()
-    n = u.shape.n
-    r = row_gaps(u.a, u.b, n)
-    total = 0
-    for t in range(n):
-        # right cells of row t have label s = qn + t with q >= 1 - r[t]
-        q_hi = (sink - t) // n
-        count = q_hi - (1 - r[t]) + 1
-        if count > 0:
-            total += count
-    return total - 1
+    visited = label_cells(u, range(u.require_sink() + 1))
+    return sum(cell.side == "right" for cell in visited) - 1
 
 
 def xpara(u: Configuration) -> int:
@@ -86,24 +80,14 @@ def ypara(u: Configuration) -> int:
 
 
 def xpara_by_counting(u: Configuration) -> int:
-    """xpara straight from the cells: per row, the left labels are those with
-    q <= -gap, so count the ones above the sink."""
-    _require_parking(u, "xpara_by_counting")
-    sink = u.require_sink()
-    n = u.shape.n
-    r = row_gaps(u.a, u.b, n)
-    total = 0
-    for t in range(n):
-        q_visited = (sink - t) // n  # largest q with label <= sink in row t
-        count = -r[t] - q_visited
-        if count > 0:
-            total += count
-    return total
+    """xpara straight from the cells: the left labels above the sink, all
+    below (m-1)n since left cells have q <= m-2 (see boundary_sets)."""
+    unvisited = label_cells(u, range(u.require_sink() + 1, (u.shape.m - 1) * u.shape.n))
+    return sum(cell.side == "left" for cell in unvisited)
 
 
 def ypara_by_counting(u: Configuration) -> int:
     """ypara straight from the cells (same counting as rank_via_cylindric)."""
-    _require_parking(u, "ypara_by_counting")
     return rank_via_cylindric(u) + 1
 
 
@@ -116,12 +100,12 @@ def boundary_sets(u: Configuration) -> BoundarySets:
     """
     _require_parking(u, "boundary_sets")
     m, n = u.shape.m, u.shape.n
-    red = [_red_column(u, t) for t in range(n)]
+    gaps = row_gaps(u.a, u.b, n)
     lo, hi = -1, n * m + n
 
     def side_right(s: int) -> bool:
         q, t = divmod(s, n)
-        right = u.b[t] + q >= red[t]
+        right = q + gaps[t] >= 1
         if right and s < 0:
             raise RuntimeError("right cell with negative label; window bound violated")
         if not right and q > m - 2:
@@ -162,8 +146,8 @@ def sink_series_direct(u: Configuration, ring: SeriesRing) -> TruncatedSeries:
     """Same series by brute summation over the finitely many contributing
     sink values (xpara decreases and ypara increases with the sink, so both
     scan directions stop once they leave the caps)."""
-    cap_x = ring.caps[ring._index("x")]
-    cap_y = ring.caps[ring._index("y")]
+    cap_x = ring.caps[ring.index("x")]
+    cap_y = ring.caps[ring.index("y")]
     acc = ring.zero()
     s = 0
     if xpara(u.with_sink(0)) <= cap_x:

@@ -90,7 +90,7 @@ def xy_table(shape: GraphShape, ring: SeriesRing) -> TruncatedSeries:
     configurations are validated once, grouped by gap vector, and each group
     sweeps its sink window once with the unvalidated kernel below.
     """
-    ix, iy = ring._index("x"), ring._index("y")
+    ix, iy = ring.index("x"), ring.index("y")
     cap_x, cap_y = ring.caps[ix], ring.caps[iy]
     groups = Counter()
     for u in enumerate_parking_sorted(shape).configs:
@@ -191,18 +191,18 @@ def polyomino_counts(
 
 def polyomino_series(weights: PolyominoWeights, ring: SeriesRing) -> TruncatedSeries:
     """Polyomino generating function under the given weighting."""
-    cell_cap = ring.caps[ring._index(weights.cell_var)]
-    width_cap = ring.caps[ring._index(weights.width_var)]
-    height_cap = ring.caps[ring._index(weights.height_var)]
+    cell_cap = ring.caps[ring.index(weights.cell_var)]
+    width_cap = ring.caps[ring.index(weights.width_var)]
+    height_cap = ring.caps[ring.index(weights.height_var)]
     area_cap = cell_cap + (height_cap if weights.height_offset < 0 else 0)
     counts = polyomino_counts(area_cap, width_cap, height_cap)
     out: dict[tuple[int, ...], int] = {}
     for (area, width, height), cnt in counts.items():
         cell_exp = area + weights.height_offset * height
         key = [0] * len(ring.variables)
-        key[ring._index(weights.cell_var)] = cell_exp
-        key[ring._index(weights.width_var)] = width
-        key[ring._index(weights.height_var)] = height
+        key[ring.index(weights.cell_var)] = cell_exp
+        key[ring.index(weights.width_var)] = width
+        key[ring.index(weights.height_var)] = height
         out[tuple(key)] = out.get(tuple(key), 0) + cnt
     return ring.from_coeffs(out)
 
@@ -210,9 +210,9 @@ def polyomino_series(weights: PolyominoWeights, ring: SeriesRing) -> TruncatedSe
 def l_series(ring: SeriesRing, qv: str = "q", wv: str = "w", hv: str = "h") -> TruncatedSeries:
     """The alternating double series whose quotient reproduces the polyomino
     counts: sum over (j,k) of (-1)^(j+k) w^j h^k q^C(j+k+1,2) / ((q)_k (q)_j)."""
-    wcap = ring.caps[ring._index(wv)]
-    hcap = ring.caps[ring._index(hv)]
-    qcap = ring.caps[ring._index(qv)]
+    wcap = ring.caps[ring.index(wv)]
+    hcap = ring.caps[ring.index(hv)]
+    qcap = ring.caps[ring.index(qv)]
     total = ring.zero()
     for j in range(wcap + 1):
         for k in range(hcap + 1):
@@ -254,8 +254,8 @@ def boundary_series_direct(
     boundary configurations, found shape by shape from the boundary sinks."""
     plus: dict[tuple[int, ...], int] = {}
     minus: dict[tuple[int, ...], int] = {}
-    ix, iy = ring._index("x"), ring._index("y")
-    iw, ih = ring._index("w"), ring._index("h")
+    ix, iy = ring.index("x"), ring.index("y")
+    iw, ih = ring.index("w"), ring.index("h")
     for m in range(1, mmax + 1):
         for n in range(1, nmax + 1):
             for u in enumerate_parking_sorted(GraphShape(m, n)).configs:
@@ -391,7 +391,7 @@ def verify_gf(mmax: int, nmax: int, cap_x: int, cap_y: int) -> GfReport:
     t2 = time.perf_counter()
     report = compare_series(lhs, rhs)
     t3 = time.perf_counter()
-    iw, ih = ring._index("w"), ring._index("h")
+    iw, ih = ring.index("w"), ring.index("h")
     per_shape = Counter((k[iw], k[ih]) for k in set(lhs.coeffs) | set(rhs.coeffs))
     return replace(
         report,
@@ -416,8 +416,8 @@ def degree_rank_csv(table: dict[tuple[int, int], int], degree_window: tuple[int,
 
 def xy_csv(series: TruncatedSeries) -> str:
     ring = series.ring
-    cap_x = ring.caps[ring._index("x")]
-    cap_y = ring.caps[ring._index("y")]
+    cap_x = ring.caps[ring.index("x")]
+    cap_y = ring.caps[ring.index("y")]
     lines = ["y\\x," + ",".join(str(x) for x in range(cap_x + 1))]
     for yv in range(cap_y + 1):
         row = [str(series.coefficient({"x": xv, "y": yv})) for xv in range(cap_x + 1)]

@@ -8,10 +8,22 @@ an m x n grid (green path from the b-part, red path from the a-part), and the
 operators below slide that grid along the doubly periodic continuation of the
 two paths.
 
+Every row-shaped quantity derives from one row geometry.  Row i has its
+green north step at column b_i + 1 and its red north step at its red column
+c_i, the number of a-values <= i-2; ``red_columns`` computes c_1..c_n from
+the a-part's histogram, and no other code counts a-values per row.  The row
+gap is r_i = b_i + 1 - c_i, and row i of the intersection area, the cells
+under the red path (the sink column at full height) and left of the green
+path, is the column interval c_i + 1 .. b_i + 1.  So u is parking when no
+row holds two cells, and recurrent when the intervals chain from the bottom
+left corner to the top right one: b_n = m - 1 and c_(i+1) <= b_i for i < n.
+Since c_1 = 0 and the red columns never decrease, every row is then
+non-empty.
+
 Validation happens once, at the public boundary.  The public functions take a
 Configuration, check what they require of it (stable, sorted, parking, a
 sink) and hand plain tuples or lists to kernels that trust their input:
-``row_gaps``, the parking slide ``_slide`` and the rank formula
+``red_columns``/``row_gaps``, the parking slide ``_slide`` and the rank formula
 ``rank_from_gaps`` here, ``stable_parts``/``value_counts``/``from_counts`` in
 ``core``.  ``rank_of``, ``parking_representative`` and ``rank_with_proof``
 run stabilize, counting sort, park and formula as one pass over these kernels
@@ -55,7 +67,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
 from operator import add, le, sub
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .core import (
     Configuration,
@@ -110,28 +122,27 @@ class GridShift:
 # row gaps
 
 
-def row_gaps(a, b, n: int) -> list[int]:
-    """Row gaps of sorted parts, a-values in [0, n); no validation.
+def red_columns(a_counts: list[int]) -> Iterator[int]:
+    """The red columns c_1..c_n from the histogram of the a-values over
+    [0, n); no validation.  An iterator, so that the linear-time pipeline
+    holds no list of them."""
+    return accumulate(islice(a_counts, len(a_counts) - 1), initial=0)
 
-    Row i (1-based) has its green north step at column b_i + 1 and its red
-    north step at column C(i-2), the number of a-values <= i-2.
-    """
-    return list(map(sub, map(_plus_one, b), _red_columns(value_counts(n - 1, a))))
+
+def row_gaps(a, b, n: int) -> list[int]:
+    """Row gaps b_i + 1 - c_i of sorted parts, a-values in [0, n); no
+    validation."""
+    return list(map(sub, map(_plus_one, b), red_columns(value_counts(n - 1, a))))
 
 
 _plus_one = (1).__add__
-
-
-def _red_columns(a_counts: list[int]):
-    """C(-1), C(0), ...: red column of each row from the a-part's histogram."""
-    return chain((0,), accumulate(a_counts))
 
 
 def _gaps_from_counts(a_counts: list[int], b_counts: list[int]) -> list[int]:
     """row_gaps from the histograms of both parts; the green columns b_i + 1
     are read off the b-histogram without building the sorted b-part."""
     green = chain.from_iterable(map(repeat, range(1, len(b_counts) + 1), b_counts))
-    return list(map(sub, green, _red_columns(a_counts)))
+    return list(map(sub, green, red_columns(a_counts)))
 
 
 def _ends_within(u: Configuration, b_low: int) -> bool:
@@ -140,9 +151,13 @@ def _ends_within(u: Configuration, b_low: int) -> bool:
     return (not a or (a[0] >= 0 and a[-1] < u.shape.n)) and b[0] >= b_low and b[-1] < u.shape.m
 
 
-def _checked_gaps(u: Configuration, who: str) -> list[int]:
+def _require_stable_sorted(u: Configuration, who: str) -> None:
     if not (is_sorted(u) and _ends_within(u, 0)):
         raise SandpileError(f"{who} expects a stable sorted configuration")
+
+
+def _checked_gaps(u: Configuration, who: str) -> list[int]:
+    _require_stable_sorted(u, who)
     return row_gaps(u.a, u.b, u.shape.n)
 
 
@@ -163,36 +178,12 @@ def is_parking_sorted(u: Configuration) -> bool:
     return max(_checked_gaps(u, "is_parking_sorted")) <= 1
 
 
-def _intersection_cells(u: Configuration) -> set[tuple[int, int]]:
-    """Cells (column, row), 1-based, under the red path and left of the green
-    path; the sink column counts as full height."""
-    m, n = u.shape.m, u.shape.n
-    cells = set()
-    for j in range(1, n + 1):
-        for i in range(1, m + 1):
-            below_red = True if i == m else u.a[i - 1] >= j - 1
-            if below_red and u.b[j - 1] >= i - 1:
-                cells.add((i, j))
-    return cells
-
-
 def is_recurrent_sorted(u: Configuration) -> bool:
-    """Intersection area edge-connected and touching both extreme corners."""
-    if not (is_stable(u) and is_sorted(u)):
-        raise SandpileError("is_recurrent_sorted expects a stable sorted configuration")
-    m, n = u.shape.m, u.shape.n
-    cells = _intersection_cells(u)
-    if (1, 1) not in cells or (m, n) not in cells:
-        return False
-    stack = [(1, 1)]
-    seen = {(1, 1)}
-    while stack:
-        x, y = stack.pop()
-        for nxt in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-            if nxt in cells and nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen == cells
+    """Intersection area edge-connected and touching both extreme corners:
+    b_n = m - 1 and c_(i+1) <= b_i for i < n (see the module docstring)."""
+    _require_stable_sorted(u, "is_recurrent_sorted")
+    red = red_columns(value_counts(u.shape.n - 1, u.a))
+    return u.b[-1] == u.shape.m - 1 and all(map(le, islice(red, 1, None), u.b))
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +235,18 @@ def shift_south(u: Configuration) -> Configuration:
     return Configuration(u.shape, a, sink, b)
 
 
-def _shift_power(u: Configuration, op, inv, k: int) -> Configuration:
-    for _ in range(abs(k)):
-        u = op(u) if k > 0 else inv(u)
-    return u
+def _grid_shift(u: Configuration, k_a: int, k_b: int) -> Configuration:
+    """east^k_a north^k_b of a compact sorted configuration in O(m+n).  The
+    two moves commute: each part rotates by its own exponent, a value that
+    wraps past the end gaining the part's degree, and drops by the other."""
+
+    def rotate(values, k, degree, drop):
+        size = len(values)
+        return tuple(values[j % size] + degree * (j // size) - drop for j in range(k, k + size))
+
+    m, n = u.shape.m, u.shape.n
+    sink = None if u.sink is None else u.sink - k_b
+    return Configuration(u.shape, rotate(u.a, k_a, n, k_b), sink, rotate(u.b, k_b, m, k_a))
 
 
 # ---------------------------------------------------------------------------
@@ -263,22 +262,18 @@ def next_toward_parking(u: Configuration) -> Configuration:
     row j-1 weakly left of it); the move topples the a-suffix from the
     leftmost cell of that row and the b-suffix from that row upward.
     """
-    r = _checked_gaps(u, "next_toward_parking")
-    m, n = u.shape.m, u.shape.n
-    red_col = [sum(1 for v in u.a if v <= t - 1) for t in range(n)]
-    row = 0
-    for j in range(1, n + 1):
-        if r[j - 1] >= 2 and (j == 1 or u.b[j - 2] <= red_col[j - 1]):
-            row = j
-    if row == 0:
+    _require_stable_sorted(u, "next_toward_parking")
+    m, n, b = u.shape.m, u.shape.n, u.b
+    red = list(red_columns(value_counts(n - 1, u.a)))
+    row = -1
+    for t in range(n):  # 0-based rows; gap b_t + 1 - red_t >= 2
+        if b[t] > red[t] and (t == 0 or b[t - 1] <= red[t]):
+            row = t
+    if row < 0:
         return u
-    col = 1 + red_col[row - 1]
-    p = m - col  # reverse topplings of a_{col}..a_{m-1}
-    q = n - row + 1  # reverse topplings of b_{row}..b_n
-    a = sorted(v + q - (n if k >= col else 0) for k, v in enumerate(u.a, start=1))
-    b = sorted(v + p - (m if h >= row else 0) for h, v in enumerate(u.b, start=1))
-    sink = None if u.sink is None else u.sink + q
-    return Configuration(u.shape, tuple(a), sink, tuple(b))
+    # sorted, toppling the a-values from column red_row on and the b-values
+    # from row on is west^(m - 1 - red_row) south^(n - row)
+    return _grid_shift(u, red[row] + 1 - m, row - n)
 
 
 def next_toward_recurrent(u: Configuration) -> Configuration:
@@ -288,8 +283,7 @@ def next_toward_recurrent(u: Configuration) -> Configuration:
     Walks the green path step by step (east while the first b-value is
     non-negative, else north) until the window shows a stable configuration.
     """
-    if not (is_stable(u) and is_sorted(u)):
-        raise SandpileError("next_toward_recurrent expects a stable sorted configuration")
+    _require_stable_sorted(u, "next_toward_recurrent")
     if is_recurrent_sorted(u):
         return u
     m, n = u.shape.m, u.shape.n
@@ -401,6 +395,12 @@ def parking_representative(u: Configuration) -> Configuration:
     """sort(park(u)) for an arbitrary full configuration: stabilize, sort,
     then apply the closed-form parking map.  O(m+n) overall."""
     return _parked_configuration(u.shape, _park_pass(u))
+
+
+def is_effective(u: Configuration) -> bool:
+    """Whether u is toppling-equivalent to a non-negative configuration:
+    exactly when its parking representative's sink is non-negative."""
+    return _park_pass(u).sink >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +558,7 @@ def verify_rank_proof(u: Configuration, rank: int, proof: ProofOfRank) -> bool:
     if f.shape != u.shape or any(f.a) or f.sink or min(f.b) < 0 or sum(f.b) != rank + 1:
         return False
     rest = Configuration(u.shape, u.a, u.require_sink(), tuple(map(sub, u.b, f.b)))
-    return _park_pass(rest).sink < 0
+    return not is_effective(rest)
 
 
 # ---------------------------------------------------------------------------
@@ -573,16 +573,15 @@ def canonical_divisor(shape: GraphShape) -> Configuration:
 
 def decompose_compact(u: Configuration) -> GridShift:
     """The unique (k_a, k_b) with u = east^{k_a} north^{k_b} of its parking
-    sorted representative; found by searching the window [-(m+n), m+n]^2 and
-    verified by re-application."""
+    sorted representative p.  Only north moves the sink, by -1 a step, so
+    k_b = sink(p) - sink(u); east lowers the b-sum by n and north raises it
+    by m, so n k_a = sum b(p) + m k_b - sum b(u).  A composite shift checks."""
     _require_compact_sorted(u, "decompose_compact")
-    u.require_sink()
+    sink = u.require_sink()
     m, n = u.shape.m, u.shape.n
     p = parking_representative(u)
-    w = m + n
-    for k_b in range(-w, w + 1):
-        base = _shift_power(p, shift_north, shift_south, k_b)
-        for k_a in range(-w, w + 1):
-            if _shift_power(base, shift_east, shift_west, k_a) == u:
-                return GridShift(k_a, k_b)
-    raise RuntimeError("no grid-shift decomposition in the search window; this cannot happen")
+    k_b = p.sink - sink
+    k_a, rest = divmod(sum(p.b) + m * k_b - sum(u.b), n)
+    if rest or _grid_shift(p, k_a, k_b) != u:
+        raise RuntimeError("the closed-form grid shift misses u; this cannot happen")
+    return GridShift(k_a, k_b)

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Configuration, GraphShape, SandpileError, is_sorted, is_stable
-from .cylindric import label_cell
-from .rank import _intersection_cells, is_parking_sorted
+from .core import Configuration, GraphShape, SandpileError, is_sorted, is_stable, value_counts
+from .cylindric import label_cells
+from .rank import red_columns
 
 CELL_PX = 20
 
@@ -67,7 +67,10 @@ def diagram_of(u: Configuration, shade_intersection: bool = False) -> DiagramSpe
     green.append("E" * (m - prev))
     shaded = ()
     if shade_intersection:
-        shaded = tuple(sorted((c - 1, r - 1) for c, r in _intersection_cells(u)))
+        # the cells under the red path (the sink column at full height) and
+        # left of the green path: row t holds the columns red_t .. b_t
+        rows = enumerate(zip(red_columns(value_counts(n - 1, u.a)), u.b))
+        shaded = tuple(sorted((c, t) for t, (lo, hi) in rows for c in range(lo, hi + 1)))
     return DiagramSpec(u.shape, "".join(red), "".join(green), m, (), shaded)
 
 
@@ -96,17 +99,11 @@ def configuration_of(spec: DiagramSpec) -> Configuration:
 def cylindric_diagram(u: Configuration) -> DiagramSpec:
     """The labelled strip for a full parking sorted configuration: one cell
     per sink unit, columns growing eastward as the labels wrap rows."""
-    if not is_parking_sorted(u):
-        raise SandpileError("cylindric_diagram expects a parking sorted configuration")
-    sink = u.require_sink()
+    cells = label_cells(u, range(u.require_sink() + 1))  # checks u is parking sorted
     base = diagram_of(u)
-    labels = []
-    width = base.width
-    for s in range(0, sink + 1):
-        cell = label_cell(u, s)
-        labels.append(CellLabel(cell.column, cell.row, str(s), cell.side))
-        width = max(width, cell.column + 1)
-    return DiagramSpec(u.shape, base.red_steps, base.green_steps, width, tuple(labels))
+    labels = tuple(CellLabel(c.column, c.row, str(c.s), c.side) for c in cells)
+    width = max([base.width] + [c.column + 1 for c in cells])
+    return DiagramSpec(u.shape, base.red_steps, base.green_steps, width, labels)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .core import SandpileError
 
-class SeriesError(ValueError):
+
+class SeriesError(SandpileError):
     """Cap mismatch, bad constant term, or out-of-cap query."""
 
 
@@ -49,7 +51,7 @@ class SeriesRing:
     def monomial(self, exponents: dict[str, int], coeff: int = 1) -> "TruncatedSeries":
         exps = [0] * len(self.variables)
         for name, e in exponents.items():
-            exps[self._index(name)] = e
+            exps[self.index(name)] = e
         key = tuple(exps)
         if any(e < 0 for e in key):
             raise SeriesError(f"negative exponent in {exponents}")
@@ -71,7 +73,8 @@ class SeriesRing:
                 kept[key] = c
         return TruncatedSeries(self, kept)
 
-    def _index(self, name: str) -> int:
+    def index(self, name: str) -> int:
+        """Position of a variable in ``variables`` and in every exponent tuple."""
         try:
             return self.variables.index(name)
         except ValueError:
@@ -185,7 +188,7 @@ class TruncatedSeries:
     def coefficient(self, exponents: dict[str, int]) -> int:
         exps = [0] * len(self.ring.variables)
         for name, e in exponents.items():
-            exps[self.ring._index(name)] = e
+            exps[self.ring.index(name)] = e
         key = tuple(exps)
         if any(e > cap or e < 0 for e, cap in zip(key, self.ring.caps)):
             raise SeriesError(f"exponents {exponents} outside caps {self.ring.caps}")
@@ -194,8 +197,8 @@ class TruncatedSeries:
     def absorb_into(self, target: str, sources: tuple[str, ...]) -> "TruncatedSeries":
         """Substitute v -> target*v for each source variable: every source
         exponent is added onto the target's (used for L(qw, qh))."""
-        t = self.ring._index(target)
-        src = [self.ring._index(s) for s in sources]
+        t = self.ring.index(target)
+        src = [self.ring.index(s) for s in sources]
         caps = self.ring.caps
         out: dict[tuple[int, ...], int] = {}
         for key, c in self.coeffs.items():

@@ -9,12 +9,13 @@ import random
 
 import pytest
 
-from bipartite_sandpile.core import GraphShape, config, degree, is_effective, sort_config
+from bipartite_sandpile.core import GraphShape, config, degree, sort_config
 from bipartite_sandpile import cylindric, genfunc, oracle
 from bipartite_sandpile.rank import (
     canonical_divisor,
     decompose_compact,
     greedy_step,
+    is_effective,
     next_toward_parking,
     park_sort,
     parking_representative,

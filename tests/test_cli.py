@@ -1,12 +1,19 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipartite_sandpile.cli import CHECK_MAX_DEGREE, CHECK_MAX_VERTICES, main, run_bench
+from bipartite_sandpile.cli import (
+    CHECK_MAX_DEGREE,
+    CHECK_MAX_VERTICES,
+    RENDER_MAX_CELLS,
+    main,
+    run_bench,
+)
 from bipartite_sandpile.core import from_json_dict, to_json_dict
 from bipartite_sandpile.rank import parking_representative, r_vector, rank_greedy
 
@@ -140,6 +147,27 @@ class TestRender:
         code, out, _ = run(capsys, "render", "-i", RUN75, "--cylindric", "--format", "svg")
         assert code == 0
         assert out.count('fill="red"') == 13
+
+    def test_size_bound_counts_labels_with_cylindric(self, capsys):
+        def one_cell(sink):
+            return json.dumps({"m": 1, "n": 1, "a": [], "sink": sink, "b": [0]})
+
+        # one grid cell plus sink + 1 labels: first one past the bound, so that
+        # a broken bound fails here before 10^9 labels are drawn
+        for sink in (RENDER_MAX_CELLS - 1, 10**9):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "render", "-i", one_cell(sink), "--cylindric")
+            assert code == 1 and out == "" and str(RENDER_MAX_CELLS) in err
+            assert time.perf_counter() - start < 2.0
+        code, _, _ = run(capsys, "render", "-i", one_cell(10**9))
+        assert code == 0
+
+    def test_size_bound_counts_grid_cells(self, capsys):
+        m = n = 501
+        grid = json.dumps({"m": m, "n": n, "a": [0] * (m - 1), "sink": None, "b": [0] * n})
+        assert m * n > RENDER_MAX_CELLS
+        code, out, _ = run(capsys, "render", "-i", grid)
+        assert code == 1 and out == ""
 
 
 class TestEnumerate:

@@ -10,7 +10,6 @@ from bipartite_sandpile.core import (
     degree,
     dumps,
     from_json_dict,
-    is_effective,
     is_quasi_stable,
     is_sorted,
     is_stable,
@@ -22,7 +21,7 @@ from bipartite_sandpile.core import (
     topple_set,
 )
 from bipartite_sandpile.oracle import park_by_definition, toppling_equivalent
-from bipartite_sandpile.rank import canonical_divisor, parking_representative
+from bipartite_sandpile.rank import canonical_divisor, is_effective, parking_representative
 
 from conftest import exhaustive_suite
 

@@ -1,0 +1,46 @@
+"""Module boundaries of the package: no module reaches into another's private
+names.  A leading underscore marks a name as its module's own; only ``self``
+and ``cls`` may read private attributes, and dunder names are public."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import bipartite_sandpile
+
+SOURCES = sorted(Path(bipartite_sandpile.__file__).parent.glob("*.py"))
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_uses(source: str) -> list[str]:
+    """Every ``from .module import _name`` and every ``x._name`` whose ``x``
+    is not ``self`` or ``cls``, as "line: text" entries."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            found += [f"{node.lineno}: import {a.name}" for a in node.names if _private(a.name)]
+        elif isinstance(node, ast.Attribute) and _private(node.attr):
+            owner = node.value
+            if not (isinstance(owner, ast.Name) and owner.id in ("self", "cls")):
+                found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_the_checker_sees_both_forms():
+    source = (
+        "from .rank import _slide, row_gaps\n"
+        "ring._index('x')\n"
+        "self._packing\n"
+        "cls._cache\n"
+        "parse.__name__ = 'integer'\n"
+    )
+    assert private_uses(source) == ["1: import _slide", "2: ring._index"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_cross_module_private_names(path):
+    assert private_uses(path.read_text(encoding="utf-8")) == []

@@ -11,15 +11,17 @@ from bipartite_sandpile.core import (
     SandpileError,
     config,
     degree,
-    is_effective,
+    is_compact,
     sort_config,
     stabilize,
 )
 from bipartite_sandpile.rank import (
+    _grid_shift,
     canonical_divisor,
     decompose_compact,
     greedy_step,
     greedy_step_rvector,
+    is_effective,
     is_parking_sorted,
     is_recurrent_sorted,
     next_toward_parking,
@@ -93,6 +95,12 @@ class TestParkingRecurrentPredicates:
     def test_recurrent_is_psi_fixed_point(self):
         for u in stable_sorted_partials(3, 3):
             assert is_recurrent_sorted(u) == (next_toward_recurrent(u) == u)
+
+    @pytest.mark.parametrize("m", range(1, 4))
+    @pytest.mark.parametrize("n", range(1, 4))
+    def test_recurrent_against_subset_definition(self, m, n):
+        for u in stable_sorted_partials(m, n):
+            assert is_recurrent_sorted(u) == (oracle.psi_by_definition(u) == u)
 
 
 class TestShifts:
@@ -588,3 +596,57 @@ class TestDecomposeCompact:
         before = decompose_compact(u)
         after = decompose_compact(shift_east(u))
         assert (after.k_a, after.k_b) == (before.k_a + 1, before.k_b)
+
+    def test_exponents_beyond_m_plus_n(self):
+        for u, exponents in (
+            (config(4, 4, [0, 0, 0], 0, [3, 3, 3, 3]), (9, 12)),
+            (config(1, 1, [], 0, [3]), (0, 3)),
+        ):
+            shift = decompose_compact(u)
+            assert (shift.k_a, shift.k_b) == exponents
+            assert reapplied(u, shift) == u
+
+    def test_round_trip_on_every_small_compact_input(self):
+        values = range(-3, 6)
+        for m in range(1, 4):
+            for n in range(1, 4):
+                for a in itertools.combinations_with_replacement(values, m - 1):
+                    for b in itertools.combinations_with_replacement(values, n):
+                        for sink in values:
+                            u = config(m, n, a, sink, b)
+                            if is_compact(u):
+                                assert reapplied(u, decompose_compact(u)) == u
+
+    def test_round_trip_on_every_stable_k44_input(self):
+        for partial in stable_sorted_partials(4, 4):
+            for sink in range(-3, 6):
+                u = partial.with_sink(sink)
+                assert reapplied(u, decompose_compact(u)) == u
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_composite_shift_equals_repeated_steps(self, data):
+        def compact_part(size, spread):
+            low = data.draw(st.integers(-20, 20))
+            offsets = data.draw(st.lists(st.integers(0, spread), min_size=size, max_size=size))
+            return sorted(low + v for v in offsets)
+
+        m, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        sink = data.draw(st.none() | st.integers(-50, 50))
+        u = config(m, n, compact_part(m - 1, n), sink, compact_part(n, m))
+        k_a, k_b = data.draw(st.integers(-15, 15)), data.draw(st.integers(-15, 15))
+        assert _grid_shift(u, k_a, k_b) == repeated_shifts(u, k_a, k_b)
+
+
+def repeated_shifts(v, k_a, k_b):
+    """east^k_a north^k_b of v by one-step shifts."""
+    for _ in range(abs(k_b)):
+        v = shift_north(v) if k_b > 0 else shift_south(v)
+    for _ in range(abs(k_a)):
+        v = shift_east(v) if k_a > 0 else shift_west(v)
+    return v
+
+
+def reapplied(u, shift):
+    """The parking representative of u moved by the decomposition's shifts."""
+    return repeated_shifts(parking_representative(u), shift.k_a, shift.k_b)

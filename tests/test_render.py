@@ -9,6 +9,8 @@ from bipartite_sandpile.render import (
     render_text,
 )
 
+from conftest import stable_sorted_partials
+
 FIG_CONFIG = config(7, 5, [0, 0, 0, 2, 2, 2], None, [0, 0, 4, 4, 4])
 
 
@@ -38,6 +40,20 @@ class TestDiagramOf:
     def test_unsorted_rejected(self):
         with pytest.raises(SandpileError):
             diagram_of(config(2, 2, [1], None, [1, 0]))
+
+    @pytest.mark.parametrize("m", range(1, 5))
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_shading_is_the_intersection_area(self, m, n):
+        # cell (column c, row t), 0-based, lies under the red path (the sink
+        # column at full height) and left of the green path
+        for u in stable_sorted_partials(m, n):
+            cells = [
+                (c, t)
+                for c in range(m)
+                for t in range(n)
+                if (c == m - 1 or u.a[c] >= t) and u.b[t] >= c
+            ]
+            assert diagram_of(u, shade_intersection=True).shaded == tuple(cells)
 
 
 class TestRenderText:

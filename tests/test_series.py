@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bipartite_sandpile.core import SandpileError
 from bipartite_sandpile.series import SeriesError, SeriesRing
 
 RING2 = SeriesRing(("x", "y"), (4, 4))
@@ -27,6 +28,9 @@ class TestBasics:
     def test_truncation_silently_drops(self):
         x = RING2.var("x")
         assert x * x * x * x * x == RING2.zero()  # x^5 beyond cap 4
+
+    def test_series_errors_are_sandpile_errors(self):
+        assert issubclass(SeriesError, SandpileError) and issubclass(SeriesError, ValueError)
 
     def test_cap_mismatch_rejected(self):
         other = SeriesRing(("x", "y"), (4, 5))
