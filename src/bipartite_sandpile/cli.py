@@ -22,6 +22,7 @@ from .core import (
     dumps,
     from_json_dict,
     sort_config,
+    stabilize,
     to_json_dict,
 )
 from .rank import (
@@ -48,6 +49,15 @@ CHECK_MAX_DEGREE = 1024
 # render draws every cell of the m x n grid and, with --cylindric, one label
 # per sink unit; at this size a text picture takes up to about two seconds
 RENDER_MAX_CELLS = 250_000
+
+# enumerate and verify-gf work through every parking sorted configuration of
+# each shape, a number exponential in m and n.  At these bounds the largest
+# call takes about a minute: verify-gf --wmax 8 --hmax 8 --xymax 16 about
+# 55 s, enumerate 7 7 --table dr over 24 degrees about 42 s
+VERIFY_GF_MAX_SIDE = 8  # --wmax and --hmax
+ENUMERATE_MAX_SIDE = 7  # m and n
+ENUMERATE_MAX_DEGREES = 24  # degrees in the --dmin..--dmax window of --table dr
+FAMILY_MAX_XY = 16  # --xymax of both
 
 
 def _read_configuration(raw: str) -> Configuration:
@@ -164,14 +174,19 @@ def cmd_rvector(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     u = _read_configuration(args.input)
-    labels = max(_require_sink(u).sink + 1, 0) if args.cylindric else 0
+    if args.cylindric:
+        drawn = parking_representative(_require_sink(u))
+        labels = max(drawn.sink + 1, 0)
+    else:
+        drawn = _stable_sorted(u)
+        labels = 0
     cells = u.shape.m * u.shape.n + labels
     if cells > RENDER_MAX_CELLS:
         raise SandpileError(f"render draws at most {RENDER_MAX_CELLS} cells, got {cells}")
     if args.cylindric:
-        spec = render.cylindric_diagram(u)
+        spec = render.cylindric_diagram(drawn)
     else:
-        spec = render.diagram_of(sort_config(u), shade_intersection=args.shade)
+        spec = render.diagram_of(drawn, shade_intersection=args.shade)
     if args.format == "svg":
         sys.stdout.write(render.render_svg(spec))
     else:
@@ -179,8 +194,29 @@ def cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
+def _stable_sorted(u: Configuration) -> Configuration:
+    """sort_config(stabilize(u)); a partial input stays partial, since the
+    sink never topples and stabilizing the rest does not read it."""
+    if u.sink is None:
+        return sort_config(stabilize(u.with_sink(0))).with_sink(None)
+    return sort_config(stabilize(u))
+
+
+def _require_within(who: str, limits: list[tuple[str, int, int]]) -> None:
+    """Refuse, before any work, every (name, value, bound) with value > bound."""
+    over = [f"{name} = {value} (at most {bound})" for name, value, bound in limits if value > bound]
+    if over:
+        raise SandpileError(f"{who} refuses " + ", ".join(over))
+
+
 def cmd_enumerate(args: argparse.Namespace) -> int:
     shape = GraphShape(args.m, args.n)
+    limits = [("m", args.m, ENUMERATE_MAX_SIDE), ("n", args.n, ENUMERATE_MAX_SIDE)]
+    if args.table == "xy":
+        limits.append(("--xymax", args.xymax, FAMILY_MAX_XY))
+    else:
+        limits.append(("degrees in --dmin..--dmax", args.dmax - args.dmin + 1, ENUMERATE_MAX_DEGREES))
+    _require_within("enumerate", limits)
     if args.table == "xy":
         ring = SeriesRing(("x", "y"), (args.xymax, args.xymax))
         sys.stdout.write(genfunc.xy_csv(genfunc.xy_table(shape, ring)))
@@ -192,6 +228,14 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_gf(args: argparse.Namespace) -> int:
+    _require_within(
+        "verify-gf",
+        [
+            ("--wmax", args.wmax, VERIFY_GF_MAX_SIDE),
+            ("--hmax", args.hmax, VERIFY_GF_MAX_SIDE),
+            ("--xymax", args.xymax, FAMILY_MAX_XY),
+        ],
+    )
     report = genfunc.verify_gf(args.wmax, args.hmax, args.xymax, args.xymax)
     print(f"main identity m<={args.wmax} n<={args.hmax} xy<={args.xymax}: {report.describe()}")
     return 0 if report.ok else DOMAIN_ERROR
@@ -328,8 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_rvector)
 
     render_help = (
-        "draw the diagram of a configuration; refuses more than"
-        f" {RENDER_MAX_CELLS} grid cells (m*n) plus labels (sink+1, with --cylindric)"
+        "draw the stabilized sorted configuration, or with --cylindric the labelled strip of"
+        f" its parking representative; refuses more than {RENDER_MAX_CELLS} grid cells (m*n)"
+        " plus labels (the parked sink + 1, with --cylindric)"
     )
     p = sub.add_parser("render", help=render_help, description=render_help)
     add_input(p)
@@ -338,7 +383,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shade", action="store_true", help="shade the intersection area")
     p.set_defaults(handler=cmd_render)
 
-    p = sub.add_parser("enumerate", help="tables over all parking sorted configurations")
+    enumerate_help = (
+        "tables over all parking sorted configurations; refuses m or n above"
+        f" {ENUMERATE_MAX_SIDE}, --xymax above {FAMILY_MAX_XY} and a --dmin..--dmax window"
+        f" of more than {ENUMERATE_MAX_DEGREES} degrees"
+    )
+    p = sub.add_parser("enumerate", help=enumerate_help, description=enumerate_help)
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
     p.add_argument("--table", choices=("xy", "dr"), default="xy")
@@ -347,7 +397,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dmax", type=int, default=17)
     p.set_defaults(handler=cmd_enumerate)
 
-    p = sub.add_parser("verify-gf", help="check the product formula for the family series")
+    verify_help = (
+        "check the product formula for the family series; refuses --wmax or --hmax"
+        f" above {VERIFY_GF_MAX_SIDE} and --xymax above {FAMILY_MAX_XY}"
+    )
+    p = sub.add_parser("verify-gf", help=verify_help, description=verify_help)
     p.add_argument("--wmax", type=_cap, default=4)
     p.add_argument("--hmax", type=_cap, default=4)
     p.add_argument("--xymax", type=_cap, default=6)

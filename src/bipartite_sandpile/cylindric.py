@@ -176,8 +176,4 @@ def _stat_monomial(u: Configuration, sink: int, ring: SeriesRing) -> TruncatedSe
 def axes_prefactor(ring: SeriesRing) -> TruncatedSeries:
     """(1-xy)/((1-x)(1-y)): coefficient 1 exactly on the two axes."""
     one = ring.one()
-    return (
-        (one - ring.monomial({"x": 1, "y": 1}))
-        * (one - ring.var("x")).geom_inverse()
-        * (one - ring.var("y")).geom_inverse()
-    )
+    return (one - ring.monomial({"x": 1, "y": 1})) / ((one - ring.var("x")) * (one - ring.var("y")))

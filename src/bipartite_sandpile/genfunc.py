@@ -13,11 +13,11 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 
 from .core import Configuration, GraphShape, SandpileError
 from .cylindric import boundary_sets, xpara, ypara
-from .rank import r_vector, rank_from_gaps, rank_parking_sorted, row_gaps
+from .rank import rank_from_gaps, rank_parking_sorted, row_gaps
 from .series import SeriesRing, TruncatedSeries
 
 ENUMERATION_GUARD = 10**8
@@ -48,15 +48,20 @@ class PolyominoWeights:
 # enumeration and the two tables
 
 
+def _require_enumerable(shape: GraphShape, who: str) -> None:
+    """Refuse the shapes whose sorted stable candidates (a-parts times
+    b-parts with first b-value 0) outnumber ENUMERATION_GUARD."""
+    m, n = shape.m, shape.n
+    candidates = math.comb(n - 1 + m - 1, m - 1) * math.comb(m + n - 2, n - 1)
+    if candidates > ENUMERATION_GUARD:
+        raise SandpileError(f"{who}: {candidates} candidates exceed the guard")
+
+
 def enumerate_parking_sorted(shape: GraphShape) -> ParkingFamily:
     """All parking sorted partial configurations: sorted stable parts with
     first b-value 0, filtered by row gaps <= 1."""
     m, n = shape.m, shape.n
-    candidates = math.comb(n - 1 + m - 1, m - 1) * math.comb(m + n - 2, n - 1)
-    if candidates > ENUMERATION_GUARD:
-        raise SandpileError(
-            f"enumerate_parking_sorted: {candidates} candidates exceed the guard"
-        )
+    _require_enumerable(shape, "enumerate_parking_sorted")
     configs = []
     for a in combinations_with_replacement(range(n), m - 1):
         for tail in combinations_with_replacement(range(m), n - 1):
@@ -64,6 +69,50 @@ def enumerate_parking_sorted(shape: GraphShape) -> ParkingFamily:
             if max(row_gaps(a, b, n)) <= 1:
                 configs.append(Configuration(shape, a, None, b))
     return ParkingFamily(shape, tuple(configs))
+
+
+def parking_gap_vectors(m: int, n: int) -> Counter:
+    """Row-gap vectors of the parking sorted configurations of K_{m,n}, each
+    with the number of configurations that have it.
+
+    A row-by-row transfer over the pairs (c_i, b_i) of red column and
+    b-value: the red columns rise from c_1 = 0 to at most m - 1, the b-values
+    rise from b_1 = 0 and parking keeps b_i <= c_i, so every gap
+    r_i = b_i + 1 - c_i is at most 1.  A gap prefix fixes the last
+    d = c - b = 1 - r, so a prefix's state is the count of its
+    configurations by last red column.  The next row with d' = 1 - r' takes
+    any c' >= c, and b' >= b means c <= c' - max(0, d' - d): its counts are
+    prefix sums of the old ones, shifted right by max(0, d' - d).  Each
+    entry keeps its gap and the index of the prefix it extends, and the
+    vectors are read back along these links at the end, so no prefix is
+    copied row by row (that would cost O(n^2) on K_{1,n}).  No configuration
+    is built and no candidate filtered; the shapes refused are those
+    ``enumerate_parking_sorted`` refuses.
+    """
+    _require_enumerable(GraphShape(m, n), "parking_gap_vectors")
+    gaps, counts = [1], [(1,) + (0,) * (m - 1)]  # row 1: c_1 = b_1 = 0
+    rows = []  # for rows 2..n: each entry's gap and the index of its prefix
+    for _ in range(n - 1):
+        next_gaps, links, grown = [], [], []
+        for index, (gap, by_column) in enumerate(zip(gaps, counts)):
+            d = 1 - gap
+            sums = tuple(accumulate(by_column))
+            for d2 in range(m):
+                lag = max(0, d2 - d)
+                if not sums[m - 1 - lag]:
+                    break  # every larger d2 lags further and is empty too
+                next_gaps.append(1 - d2)
+                links.append(index)
+                grown.append((0,) * lag + sums[: m - lag])
+        rows.append((next_gaps, links))
+        gaps, counts = next_gaps, grown
+    entries = range(len(gaps))
+    columns = []
+    for row, links in reversed(rows):
+        columns.append([row[e] for e in entries])
+        entries = [links[e] for e in entries]
+    columns.append([1] * len(gaps))
+    return Counter(dict(zip(zip(*reversed(columns)), map(sum, counts))))
 
 
 def degree_rank_table(
@@ -86,20 +135,14 @@ def xy_table(shape: GraphShape, ring: SeriesRing) -> TruncatedSeries:
     """Generating function of (xpara, ypara) over all full parking sorted
     configurations, truncated to the ring's x/y caps.
 
-    Both statistics depend only on the row-gap vector and the sink, so the
-    configurations are validated once, grouped by gap vector, and each group
-    sweeps its sink window once with the unvalidated kernel below.
+    Both statistics depend only on the row-gap vector and the sink, so each
+    gap vector from ``parking_gap_vectors`` sweeps its sink window once with
+    the unvalidated kernel below, weighted by its multiplicity.
     """
     ix, iy = ring.index("x"), ring.index("y")
     cap_x, cap_y = ring.caps[ix], ring.caps[iy]
-    groups = Counter()
-    for u in enumerate_parking_sorted(shape).configs:
-        gaps = r_vector(u).entries
-        if max(gaps) > 1:
-            raise RuntimeError("enumeration yielded a non-parking configuration; cannot happen")
-        groups[gaps] += 1
     coeffs: dict[tuple[int, int], int] = {}
-    for gaps, mult in groups.items():
+    for gaps, mult in parking_gap_vectors(shape.m, shape.n).items():
         for xp, yp in _stat_pairs(gaps, shape.m, cap_x, cap_y):
             coeffs[(xp, yp)] = coeffs.get((xp, yp), 0) + mult
     out: dict[tuple[int, ...], int] = {}
@@ -220,9 +263,7 @@ def l_series(ring: SeriesRing, qv: str = "q", wv: str = "w", hv: str = "h") -> T
             if e > qcap:
                 continue
             term = ring.monomial({qv: e, wv: j, hv: k}, (-1) ** (j + k))
-            term = term * _pochhammer(ring, k, qv).geom_inverse()
-            term = term * _pochhammer(ring, j, qv).geom_inverse()
-            total = total + term
+            total = total + term / (_pochhammer(ring, k, qv) * _pochhammer(ring, j, qv))
     return total
 
 
@@ -240,7 +281,7 @@ def polyomino_series_via_l(
     """q*w*h * L(qw, qh) / L(w, h), the closed-form route to the counts."""
     ell = l_series(ring, qv, wv, hv)
     twisted = ell.absorb_into(qv, (wv, hv))
-    return ring.monomial({qv: 1, wv: 1, hv: 1}) * twisted * ell.geom_inverse()
+    return ring.monomial({qv: 1, wv: 1, hv: 1}) * twisted / ell
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +327,7 @@ def boundary_series_closed(ring: SeriesRing) -> tuple[TruncatedSeries, Truncated
     pyt = polyomino_series(PolyominoWeights("y", height_offset=-1), ring)
 
     minus_den = (one - w) * (one - h - w - px - py)
-    minus = px * py * minus_den.geom_inverse()
+    minus = px * py / minus_den
 
     plus_num = (
         (one - hx - w) * hw
@@ -295,7 +336,7 @@ def boundary_series_closed(ring: SeriesRing) -> tuple[TruncatedSeries, Truncated
         - hw * pxt
     )
     plus_den = (one - w) * (one - w - hx - pyt - pxt)
-    plus = plus_num * plus_den.geom_inverse()
+    plus = plus_num / plus_den
     return plus, minus
 
 
@@ -375,7 +416,7 @@ def gf_closed_form(ring: SeriesRing) -> TruncatedSeries:
     py = polyomino_series(PolyominoWeights("y"), ring)
     numer = (one - x * y) * (h * w - px * py)
     denom = (one - x) * (one - y) * (one - h - w - px - py)
-    return numer * denom.geom_inverse()
+    return numer / denom
 
 
 def verify_gf(mmax: int, nmax: int, cap_x: int, cap_y: int) -> GfReport:

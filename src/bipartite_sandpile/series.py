@@ -6,16 +6,16 @@ are silently discarded by the arithmetic, so within the caps all operations
 agree with the untruncated ring.
 
 Coefficients are stored under exponent tuples.  The two quadratic kernels,
-``__mul__`` and ``geom_inverse``, pack each tuple into one int for the
-duration of the call.  A variable with cap c gets a field of w + 1 bits,
-w = c.bit_length(): w bits hold the exponent and the top bit is a guard.
-One operand is packed plainly (field value e) and the other with a bias
-(field value e + 2^w - 1 - c), so one integer addition adds every pair of
-exponents, and the sum's field overflows into its guard bit exactly when
-e1 + e2 > c.  It never carries past the guard, since e1 + e2 + bias is at
-most c + 2^w - 1 < 2^(w+1).  A single ``&`` with the mask of all guard bits
-therefore tests every cap at once; a sum that passes is the biased packing
-of the product's exponents.
+``__mul__`` and the division sweep ``geom_inverse`` (behind ``/``), pack
+each tuple into one int for the duration of the call.  A variable with cap c
+gets a field of w + 1 bits, w = c.bit_length(): w bits hold the exponent and
+the top bit is a guard.  One operand is packed plainly (field value e) and
+the other with a bias (field value e + 2^w - 1 - c), so one integer addition
+adds every pair of exponents, and the sum's field overflows into its guard
+bit exactly when e1 + e2 > c.  It never carries past the guard, since
+e1 + e2 + bias is at most c + 2^w - 1 < 2^(w+1).  A single ``&`` with the
+mask of all guard bits therefore tests every cap at once; a sum that passes
+is the biased packing of the product's exponents.
 """
 
 from __future__ import annotations
@@ -144,35 +144,47 @@ class TruncatedSeries:
                 out[key] = out.get(key, 0) + c1 * c2
         return TruncatedSeries(self.ring, packing.unpack_biased(out))
 
-    def geom_inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse within the caps; the constant term must be 1.
+    def __truediv__(self, denom: "TruncatedSeries") -> "TruncatedSeries":
+        """self / denom within the caps; denom's constant term must be 1."""
+        return denom.geom_inverse(self)
 
-        Solved from g*f = 1 by a push-style sweep in graded order: once every
+    def geom_inverse(self, numer: "TruncatedSeries | None" = None) -> "TruncatedSeries":
+        """numer / self within the caps, 1 / self without a numerator; the
+        constant term of self must be 1.
+
+        Solves q*f = numer by a push-style sweep in graded order: once every
         key of total degree below d is final, the degree-d keys are, and each
-        non-zero g_k pushes -t_c * g_k onto k + t for every tail term t of f.
-        Only keys that receive a contribution are ever visited.
+        non-zero q_k pushes -t_c * q_k onto k + t for every tail term t of f.
+        The numerator's terms seed the sweep, and only keys that receive a
+        contribution are ever visited, so the cost follows the quotient's
+        keys rather than the whole box of the caps.
         """
-        zero_key = (0,) * len(self.ring.variables)
+        ring = self.ring
+        if numer is None:
+            numer = ring.one()
+        self._same_ring(numer)
+        zero_key = (0,) * len(ring.variables)
         if self.coeffs.get(zero_key, 0) != 1:
-            raise SeriesError("geom_inverse requires constant term 1")
-        packing = _Packing(self.ring.caps)
+            raise SeriesError("division requires a denominator with constant term 1")
+        packing = _Packing(ring.caps)
         guard = packing.guard
         by_degree: dict[int, list[tuple[int, int]]] = {}
         for k, c in self.coeffs.items():
             if k != zero_key:
                 by_degree.setdefault(sum(k), []).append((packing.plain(k), c))
         tail = sorted(by_degree.items())
-        # pending[d] maps biased keys of degree d to -(g_key); the constant
-        # term of g seeds the sweep
-        pending: list[dict[int, int]] = [{} for _ in range(sum(self.ring.caps) + 1)]
-        pending[0][packing.bias] = -1
+        # pending[d] maps biased keys of degree d to -(q_key): the numerator
+        # seeds it, the tail terms of already final keys add to it
+        pending: list[dict[int, int]] = [{} for _ in range(sum(ring.caps) + 1)]
+        for k, c in numer.coeffs.items():
+            pending[sum(k)][packing.biased(k)] = -c
         out: dict[int, int] = {}
         for d, layer in enumerate(pending):
             for key, acc in layer.items():
                 if not acc:
                     continue
-                g = -acc
-                out[key] = g
+                q = -acc
+                out[key] = q
                 for tdeg, terms in tail:
                     if d + tdeg >= len(pending):
                         break
@@ -181,9 +193,9 @@ class TruncatedSeries:
                         s = key + tkey
                         if s & guard:
                             continue
-                        target[s] = target.get(s, 0) + tc * g
+                        target[s] = target.get(s, 0) + tc * q
             pending[d] = {}
-        return TruncatedSeries(self.ring, packing.unpack_biased(out))
+        return TruncatedSeries(ring, packing.unpack_biased(out))
 
     def coefficient(self, exponents: dict[str, int]) -> int:
         exps = [0] * len(self.ring.variables)

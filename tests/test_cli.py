@@ -7,14 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bipartite_sandpile import genfunc, render
 from bipartite_sandpile.cli import (
     CHECK_MAX_DEGREE,
     CHECK_MAX_VERTICES,
+    ENUMERATE_MAX_DEGREES,
+    ENUMERATE_MAX_SIDE,
+    FAMILY_MAX_XY,
     RENDER_MAX_CELLS,
+    VERIFY_GF_MAX_SIDE,
     main,
     run_bench,
 )
-from bipartite_sandpile.core import from_json_dict, to_json_dict
+from bipartite_sandpile.core import from_json_dict, sort_config, stabilize, to_json_dict
 from bipartite_sandpile.rank import parking_representative, r_vector, rank_greedy
 
 RUN75 = '{"m":7,"n":5,"a":[0,0,0,3,3,3],"sink":21,"b":[0,0,0,3,3]}'
@@ -162,6 +167,38 @@ class TestRender:
         code, _, _ = run(capsys, "render", "-i", one_cell(10**9))
         assert code == 0
 
+    def test_cylindric_draws_the_parking_representative(self, capsys):
+        text = '{"m":3,"n":3,"a":[1,2],"sink":4,"b":[2,2,1]}'
+        code, out, err = run(capsys, "render", "-i", text, "--cylindric")
+        assert code == 0, err
+        parked = parking_representative(from_json_dict(json.loads(text)))
+        assert out == render.render_text(render.cylindric_diagram(parked))
+
+    def test_plain_draws_the_stabilized_sorted_form(self, capsys):
+        text = '{"m":3,"n":3,"a":[7,-2],"sink":0,"b":[5,0,4]}'
+        code, out, err = run(capsys, "render", "-i", text, "--shade")
+        assert code == 0, err
+        drawn = sort_config(stabilize(from_json_dict(json.loads(text))))
+        assert out == render.render_text(render.diagram_of(drawn, shade_intersection=True))
+
+    def test_plain_stabilizes_a_partial_input(self, capsys):
+        text = '{"m":3,"n":3,"a":[7,-2],"sink":null,"b":[5,0,4]}'
+        code, out, err = run(capsys, "render", "-i", text)
+        assert code == 0, err
+        full = from_json_dict(json.loads(text)).with_sink(0)
+        drawn = sort_config(stabilize(full)).with_sink(None)
+        assert out == render.render_text(render.diagram_of(drawn))
+
+    def test_size_bound_counts_the_labels_of_the_parked_sink(self, capsys):
+        # stabilizing moves almost all of a-value 10^9 onto the sink
+        text = json.dumps({"m": 2, "n": 2, "a": [10**9], "sink": 0, "b": [0, 0]})
+        start = time.perf_counter()
+        code, out, err = run(capsys, "render", "-i", text, "--cylindric")
+        assert code == 1 and out == "" and str(RENDER_MAX_CELLS) in err
+        assert time.perf_counter() - start < 2.0
+        code, out, _ = run(capsys, "render", "-i", text)
+        assert code == 0 and out
+
     def test_size_bound_counts_grid_cells(self, capsys):
         m = n = 501
         grid = json.dumps({"m": m, "n": n, "a": [0] * (m - 1), "sink": None, "b": [0] * n})
@@ -185,6 +222,30 @@ class TestEnumerate:
         assert rows["0"] == "1"
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [str(ENUMERATE_MAX_SIDE + 1), "2"],
+            ["2", str(ENUMERATE_MAX_SIDE + 1)],
+            ["3", "3", "--xymax", str(FAMILY_MAX_XY + 1)],
+            ["3", "3", "--table", "dr", "--dmin", "0", "--dmax", str(ENUMERATE_MAX_DEGREES)],
+        ],
+    )
+    def test_size_bound(self, capsys, monkeypatch, argv):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an over-limit call did the work")
+
+        monkeypatch.setattr(genfunc, "xy_table", forbidden)
+        monkeypatch.setattr(genfunc, "degree_rank_table", forbidden)
+        code, out, err = run(capsys, "enumerate", *argv)
+        assert code == 1 and out == "" and "enumerate refuses" in err
+
+    def test_largest_window_is_accepted(self, capsys):
+        window = ["--dmin", "0", "--dmax", str(ENUMERATE_MAX_DEGREES - 1)]
+        code, out, _ = run(capsys, "enumerate", "2", "2", "--table", "dr", *window)
+        assert code == 0 and out.startswith("r\\d,0,1,")
+
+
 class TestVerifyGf:
     def test_small_pass(self, capsys):
         code, out, _ = run(capsys, "verify-gf", "--wmax", "2", "--hmax", "2", "--xymax", "4")
@@ -193,6 +254,18 @@ class TestVerifyGf:
     def test_default_documented_caps(self, capsys):
         code, out, _ = run(capsys, "verify-gf", "--wmax", "4", "--hmax", "4", "--xymax", "6")
         assert code == 0 and "PASS" in out
+
+    @pytest.mark.parametrize(
+        "flag,limit",
+        [("--wmax", VERIFY_GF_MAX_SIDE), ("--hmax", VERIFY_GF_MAX_SIDE), ("--xymax", FAMILY_MAX_XY)],
+    )
+    def test_size_bound(self, capsys, monkeypatch, flag, limit):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an over-limit call did the work")
+
+        monkeypatch.setattr(genfunc, "verify_gf", forbidden)
+        code, out, err = run(capsys, "verify-gf", "--wmax", "1", "--hmax", "1", flag, str(limit + 1))
+        assert code == 1 and out == "" and "verify-gf refuses" in err and str(limit) in err
 
 
 def _random_payloads(count: int = 100):

@@ -1,7 +1,10 @@
 import math
+import time
+from collections import Counter
 
 import pytest
 
+from bipartite_sandpile import cylindric, genfunc
 from bipartite_sandpile.core import GraphShape, SandpileError, config, degree
 from bipartite_sandpile.genfunc import (
     PolyominoWeights,
@@ -14,6 +17,7 @@ from bipartite_sandpile.genfunc import (
     family_series,
     gf_closed_form,
     l_series,
+    parking_gap_vectors,
     polyomino_counts,
     polyomino_series,
     polyomino_series_via_l,
@@ -22,7 +26,7 @@ from bipartite_sandpile.genfunc import (
     xy_table,
 )
 from bipartite_sandpile.oracle import is_parking_by_definition, polyomino_bruteforce
-from bipartite_sandpile.rank import canonical_divisor, is_parking_sorted
+from bipartite_sandpile.rank import canonical_divisor, is_parking_sorted, r_vector
 from bipartite_sandpile.cylindric import sink_series, xpara, ypara
 from bipartite_sandpile.series import SeriesRing
 
@@ -89,6 +93,37 @@ class TestEnumeration:
     def test_size_guard(self):
         with pytest.raises(SandpileError):
             enumerate_parking_sorted(GraphShape(60, 60))
+
+
+class TestParkingGapVectors:
+    def test_equals_grouped_enumeration(self):
+        for m in range(1, 7):
+            for n in range(1, 7):
+                shape = GraphShape(m, n)
+                grouped = Counter(
+                    r_vector(u).entries for u in enumerate_parking_sorted(shape).configs
+                )
+                assert parking_gap_vectors(m, n) == grouped, (m, n)
+
+    def test_multiplicities_sum_to_narayana_numbers(self):
+        for m in range(1, 7):
+            for n in range(1, 7):
+                k = m + n - 1
+                narayana = math.comb(k, m) * math.comb(k, m - 1) // k
+                assert sum(parking_gap_vectors(m, n).values()) == narayana, (m, n)
+        assert len(parking_gap_vectors(6, 6)) == 2848
+
+    def test_size_guard(self):
+        start = time.perf_counter()
+        with pytest.raises(SandpileError):
+            parking_gap_vectors(60, 60)
+        with pytest.raises(SandpileError):
+            xy_table(GraphShape(60, 60), SeriesRing(("x", "y"), (4, 4)))
+        assert time.perf_counter() - start < 1.0
+
+    def test_rejects_a_bad_shape(self):
+        with pytest.raises(SandpileError):
+            parking_gap_vectors(0, 3)
 
 
 class TestDegreeRankTable:
@@ -249,6 +284,26 @@ class TestMainIdentity:
     def test_small_shapes_full(self):
         report = verify_gf(3, 3, 6, 6)
         assert report.ok, report.describe()
+
+    def test_family_side_is_independent_of_the_closed_form(self, monkeypatch):
+        ring = SeriesRing(("x", "y", "w", "h"), (6, 6, 4, 4))
+        expected = family_series(4, 4, ring)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the family side reached closed-form or enumeration code")
+
+        for module, name in [
+            (genfunc, "boundary_sets"),
+            (genfunc, "polyomino_series"),
+            (genfunc, "polyomino_counts"),
+            (genfunc, "polyomino_series_via_l"),
+            (genfunc, "l_series"),
+            (genfunc, "enumerate_parking_sorted"),
+            (cylindric, "sink_series"),
+            (cylindric, "boundary_sets"),
+        ]:
+            monkeypatch.setattr(module, name, forbidden)
+        assert family_series(4, 4, ring) == expected
 
     def test_w_h_symmetry_of_family_series(self):
         ring = SeriesRing(("x", "y", "w", "h"), (6, 6, 4, 4))

@@ -203,3 +203,28 @@ class TestPackedKernels:
         x2, x3 = ring.monomial({"x": 2}), ring.monomial({"x": 3})
         assert (x2 * x2).coeffs == {(4, 0): 1}
         assert (x3 * x2).is_zero()
+
+
+class TestDivision:
+    @settings(max_examples=200, deadline=None)
+    @given(ring_and_series(2))
+    def test_quotient_matches_tuple_reference(self, drawn):
+        ring, (numer, f) = drawn
+        zero = (0,) * len(ring.caps)
+        denom = f - ring.from_coeffs({zero: f.coeffs.get(zero, 0)}) + ring.one()
+        quotient = numer / denom
+        assert quotient.coeffs == naive_product(numer, ring.from_coeffs(naive_inverse(denom)))
+        assert quotient * denom == numer
+
+    def test_requires_unit_constant(self):
+        with pytest.raises(SeriesError):
+            RING2.one() / RING2.var("x")
+        with pytest.raises(SeriesError):
+            RING2.var("x") / RING2.from_coeffs({(0, 0): 2})
+
+    def test_ring_mismatch_rejected(self):
+        other = SeriesRing(("x", "y"), (4, 5))
+        with pytest.raises(SeriesError):
+            RING2.var("x") / other.one()
+        with pytest.raises(SeriesError):
+            other.var("x") / RING2.one()
