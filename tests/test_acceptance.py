@@ -182,6 +182,8 @@ def test_criterion_7_product_formula():
     assert report.ok, report.describe()
     wide = genfunc.verify_gf(6, 6, 10, 10)
     assert wide.ok, wide.describe()
+    wider = genfunc.verify_gf(7, 7, 12, 12)
+    assert wider.ok, wider.describe()
 
     ring = SeriesRing(("q", "w", "h"), (10, 5, 5))
     plain = genfunc.polyomino_series(genfunc.PolyominoWeights("q"), ring)
@@ -193,7 +195,8 @@ def test_criterion_7_product_formula():
     max_area = max(a for a, _, _ in brute)
     assert genfunc.polyomino_counts(max_area, 5, 5) == brute
     verdict(7, f"main product formula ({report.entries_checked} coefficients at m,n <= 5, x,y <= 8; "
-               f"{wide.entries_checked} at m,n <= 6, x,y <= 10), polyomino identity, "
+               f"{wide.entries_checked} at m,n <= 6, x,y <= 10; "
+               f"{wider.entries_checked} at m,n <= 7, x,y <= 12), polyomino identity, "
                "L-quotient, and brute-force counts")
 
 

@@ -240,6 +240,14 @@ class TestEnumerate:
         code, out, err = run(capsys, "enumerate", *argv)
         assert code == 1 and out == "" and "enumerate refuses" in err
 
+    def test_window_running_backwards_is_a_usage_error(self, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a backwards window did the work")
+
+        monkeypatch.setattr(genfunc, "degree_rank_table", forbidden)
+        code, out, err = run(capsys, "enumerate", "3", "3", "--table", "dr", "--dmin", "5", "--dmax", "2")
+        assert code == 2 and out == "" and "--dmin 5 is above --dmax 2" in err
+
     def test_largest_window_is_accepted(self, capsys):
         window = ["--dmin", "0", "--dmax", str(ENUMERATE_MAX_DEGREES - 1)]
         code, out, _ = run(capsys, "enumerate", "2", "2", "--table", "dr", *window)
@@ -403,6 +411,8 @@ class TestUsage:
             ["verify-gf", "--wmax", "-1"],
             ["enumerate", "3", "3", "--xymax", "-1"],
             ["bench", "--runs", "0"],
+            ["verify-gf", "--wmax", "0"],
+            ["verify-gf", "--hmax", "0"],
         ],
     )
     def test_out_of_range_argument(self, capsys, argv):

@@ -26,7 +26,12 @@ from bipartite_sandpile.genfunc import (
     xy_table,
 )
 from bipartite_sandpile.oracle import is_parking_by_definition, polyomino_bruteforce
-from bipartite_sandpile.rank import canonical_divisor, is_parking_sorted, r_vector
+from bipartite_sandpile.rank import (
+    canonical_divisor,
+    is_parking_sorted,
+    r_vector,
+    rank_parking_sorted,
+)
 from bipartite_sandpile.cylindric import sink_series, xpara, ypara
 from bipartite_sandpile.series import SeriesRing
 
@@ -146,6 +151,29 @@ class TestDegreeRankTable:
             if 0 <= xp <= 10 and 0 <= yp <= 10:
                 assert xy.coefficient({"x": xp, "y": yp}) == count
 
+    @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 6) for n in range(1, 6)])
+    def test_equals_the_enumeration_route(self, m, n):
+        # degrees -2..2g+2 reach all three rank regimes: -1 below 0, the
+        # middle, and degree - g above 2g - 2
+        g = (m - 1) * (n - 1)
+        window = (-2, 2 * g + 2)
+        expected = Counter()
+        for u in enumerate_parking_sorted(GraphShape(m, n)).configs:
+            base = sum(u.a) + sum(u.b)
+            for d in range(window[0], window[1] + 1):
+                expected[d, rank_parking_sorted(u.with_sink(d - base))] += 1
+        assert degree_rank_table(GraphShape(m, n), window) == dict(expected)
+
+    def test_builds_no_configuration(self, monkeypatch):
+        expected = degree_rank_table(GraphShape(4, 5), (-2, 14))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the table reached enumeration or a validated rank")
+
+        for name in ("enumerate_parking_sorted", "rank_parking_sorted", "xpara", "ypara"):
+            monkeypatch.setattr(genfunc, name, forbidden)
+        assert degree_rank_table(GraphShape(4, 5), (-2, 14)) == expected
+
     def test_csv_layout(self):
         table = degree_rank_table(GraphShape(2, 2), (-1, 2))
         text = degree_rank_csv(table, (-1, 2))
@@ -177,19 +205,16 @@ class TestXyTable:
 
     @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5) for n in range(1, 5)])
     def test_equals_per_configuration_sweep(self, m, n):
-        # every sink whose statistics fit the caps lies in [-(cap+1), cap + n(m-1)]:
-        # below it xpara >= -sink-1 > cap, above it ypara >= sink+1-n(m-1) > cap
-        # (row gaps lie in [2-m, 1] and the rank is at least degree - genus)
-        cap = 6
-        ring = SeriesRing(("x", "y"), (cap, cap))
-        counts = {}
-        for u in enumerate_parking_sorted(GraphShape(m, n)).configs:
-            for s in range(-(cap + 1), cap + n * (m - 1) + 1):
-                v = u.with_sink(s)
-                key = (xpara(v), ypara(v))
-                if max(key) <= cap:
-                    counts[key] = counts.get(key, 0) + 1
-        assert xy_table(GraphShape(m, n), ring) == ring.from_coeffs(counts)
+        ring = SeriesRing(("x", "y"), (6, 6))
+        assert xy_table(GraphShape(m, n), ring) == _xy_by_configuration(m, n, ring)
+
+    @pytest.mark.parametrize("caps", [(0, 0), (0, 5), (5, 0), (2, 7)])
+    def test_equals_per_configuration_sweep_at_asymmetric_caps(self, caps):
+        ring = SeriesRing(("x", "y"), caps)
+        for m in range(1, 5):
+            for n in range(1, 5):
+                expected = _xy_by_configuration(m, n, ring)
+                assert xy_table(GraphShape(m, n), ring) == expected, (m, n)
 
     def test_csv_golden_corner(self):
         ring = SeriesRing(("x", "y"), (2, 2))
@@ -197,6 +222,24 @@ class TestXyTable:
         lines = text.strip().split("\n")
         assert lines[0] == "y\\x,0,1,2"
         assert lines[1] == "0,15,35,57"
+
+
+def _xy_by_configuration(m, n, ring):
+    """The xy table from xpara and ypara of every configuration and sink.
+
+    Every sink whose statistics fit the caps lies in
+    [-(cap_x+1), cap_y + n(m-1)]: below it xpara >= -sink-1 > cap_x, above it
+    ypara >= sink+1-n(m-1) > cap_y (row gaps lie in [2-m, 1] and the rank is
+    at least degree - genus)."""
+    cap_x, cap_y = ring.caps
+    counts = {}
+    for u in enumerate_parking_sorted(GraphShape(m, n)).configs:
+        for s in range(-(cap_x + 1), cap_y + n * (m - 1) + 1):
+            v = u.with_sink(s)
+            key = (xpara(v), ypara(v))
+            if key[0] <= cap_x and key[1] <= cap_y:
+                counts[key] = counts.get(key, 0) + 1
+    return ring.from_coeffs(counts)
 
 
 class TestPolyominoes:
@@ -299,6 +342,9 @@ class TestMainIdentity:
             (genfunc, "polyomino_series_via_l"),
             (genfunc, "l_series"),
             (genfunc, "enumerate_parking_sorted"),
+            (genfunc, "xpara"),
+            (genfunc, "ypara"),
+            (genfunc, "rank_parking_sorted"),
             (cylindric, "sink_series"),
             (cylindric, "boundary_sets"),
         ]:
