@@ -1,5 +1,5 @@
 """Command line surface: rank, park, sort, rvector, render, enumerate,
-verify-gf, bench.
+verify-gf.
 
 Configurations travel as JSON objects {"m", "n", "a", "sink", "b"}; the
 --input flag takes a file path, "-" for stdin, or the JSON text itself.
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 from . import genfunc, render
 from .core import (
@@ -25,6 +24,7 @@ from .core import (
     stabilize,
     to_json_dict,
 )
+# rank_of is not called here: kmnbench/clirank.py's traced run wraps it
 from .rank import (
     parking_representative,
     r_vector,
@@ -39,8 +39,6 @@ from .series import SeriesRing
 USAGE_ERROR = 2
 DOMAIN_ERROR = 1
 
-DEFAULT_BENCH_SIZES = [100_000 * 2**k for k in range(8)]  # 1e5 .. 1.28e7
-
 # rank --check runs rank_greedy and rank_scan, whose work grows with the
 # degree times m+n (rank_scan at K_{63,1} and degree 1024 takes about 1 s)
 CHECK_MAX_VERTICES = 64  # m + n
@@ -52,12 +50,11 @@ RENDER_MAX_CELLS = 250_000
 
 # enumerate and verify-gf work through every row-gap vector of each shape, a
 # number exponential in m and n.  At these bounds (2-core host, Python 3.11)
-# verify-gf --wmax 8 --hmax 8 --xymax 16 takes about 8 s, enumerate 7 7
-# about 0.3 s with --table xy --xymax 16 and 0.2 s over 24 degrees of dr
-VERIFY_GF_MAX_SIDE = 8  # --wmax and --hmax
-ENUMERATE_MAX_SIDE = 7  # m and n
-ENUMERATE_MAX_DEGREES = 24  # degrees in the --dmin..--dmax window of --table dr
+# verify-gf --wmax 8 --hmax 8 --xymax 16 takes about 10 s, enumerate 8 8
+# about 4 s with --table xy --xymax 16 and 2-3 s over 24 degrees of dr
+FAMILY_MAX_SIDE = 8  # m and n of enumerate, --wmax and --hmax of verify-gf
 FAMILY_MAX_XY = 16  # --xymax of both
+ENUMERATE_MAX_DEGREES = 24  # degrees in the --dmin..--dmax window of --table dr
 
 
 def _read_configuration(raw: str) -> Configuration:
@@ -213,7 +210,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     shape = GraphShape(args.m, args.n)
     if args.table == "dr" and args.dmin > args.dmax:
         raise UsageError(f"--dmin {args.dmin} is above --dmax {args.dmax}")
-    limits = [("m", args.m, ENUMERATE_MAX_SIDE), ("n", args.n, ENUMERATE_MAX_SIDE)]
+    limits = [("m", args.m, FAMILY_MAX_SIDE), ("n", args.n, FAMILY_MAX_SIDE)]
     if args.table == "xy":
         limits.append(("--xymax", args.xymax, FAMILY_MAX_XY))
     else:
@@ -233,75 +230,14 @@ def cmd_verify_gf(args: argparse.Namespace) -> int:
     _require_within(
         "verify-gf",
         [
-            ("--wmax", args.wmax, VERIFY_GF_MAX_SIDE),
-            ("--hmax", args.hmax, VERIFY_GF_MAX_SIDE),
+            ("--wmax", args.wmax, FAMILY_MAX_SIDE),
+            ("--hmax", args.hmax, FAMILY_MAX_SIDE),
             ("--xymax", args.xymax, FAMILY_MAX_XY),
         ],
     )
     report = genfunc.verify_gf(args.wmax, args.hmax, args.xymax, args.xymax)
     print(f"main identity m<={args.wmax} n<={args.hmax} xy<={args.xymax}: {report.describe()}")
     return 0 if report.ok else DOMAIN_ERROR
-
-
-def generate_random_configuration(total: int, rng) -> Configuration:
-    """Benchmark inputs: a,b uniform in [0,4n] / [0,4m], so every pipeline
-    stage sees nontrivial quotients, and a degree drawn from one of the three
-    regimes of rank, picked uniformly: below 0 (rank -1), 0..2g-2, and above
-    2g-2 (rank deg - g), with g = (m-1)(n-1)."""
-    m = total // 2
-    n = total - m
-    g = (m - 1) * (n - 1)
-    a = rng.choices(range(4 * n + 1), k=m - 1)
-    b = rng.choices(range(4 * m + 1), k=n)
-    regimes = [(-g - 1, -1), (0, 2 * g - 2), (2 * g - 1, 3 * g + 1)]
-    lo, hi = rng.choice([r for r in regimes if r[0] <= r[1]])
-    sink = rng.randint(lo, hi) - sum(a) - sum(b)
-    return Configuration(GraphShape(m, n), tuple(a), sink, tuple(b))
-
-
-def run_bench(sizes: list[int], seed: int, runs: int = 5) -> list[dict]:
-    """Median rank_of wall time per size; each row carries the ratio to the
-    previous size's median."""
-    import random
-
-    rows = []
-    prev_median = None
-    for total in sizes:
-        rng = random.Random(seed * 1_000_003 + total)
-        u = generate_random_configuration(total, rng)
-        times = []
-        for _ in range(runs):
-            start = time.perf_counter()
-            rank_of(u)
-            times.append(time.perf_counter() - start)
-        median = sorted(times)[len(times) // 2]
-        ratio = None if prev_median is None else median / prev_median
-        rows.append({"size": total, "median_sec": median, "ratio": ratio})
-        prev_median = median
-    return rows
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    sizes = args.sizes or DEFAULT_BENCH_SIZES
-    try:
-        rows = run_bench(sizes, args.seed, args.runs)
-    except MemoryError:
-        print("bench: allocation failure at the requested sizes", file=sys.stderr)
-        return DOMAIN_ERROR
-    print(f"{'m+n':>12} {'median_sec':>12} {'ratio':>8}")
-    worst = 0.0
-    for row in rows:
-        ratio = "" if row["ratio"] is None else f"{row['ratio']:.2f}"
-        print(f"{row['size']:>12} {row['median_sec']:>12.4f} {ratio:>8}")
-        if row["ratio"] is not None:
-            worst = max(worst, row["ratio"])
-    doubling = all(b == 2 * a for a, b in zip(sizes, sizes[1:]))
-    if doubling and len(sizes) > 1:
-        verdict = "PASS" if worst <= 3.0 else "FAIL"
-        print(f"linearity: worst doubling ratio {worst:.2f} <= 3.0 {verdict}")
-        if worst > 3.0:
-            return DOMAIN_ERROR
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +258,6 @@ def _int_at_least(low: int):
 
 
 _cap = _int_at_least(0)
-
-
-def _sizes_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad sizes list {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     enumerate_help = (
         "tables over all parking sorted configurations; refuses m or n above"
-        f" {ENUMERATE_MAX_SIDE}, --xymax above {FAMILY_MAX_XY} and a --dmin..--dmax window"
+        f" {FAMILY_MAX_SIDE}, --xymax above {FAMILY_MAX_XY} and a --dmin..--dmax window"
         f" of more than {ENUMERATE_MAX_DEGREES} degrees"
     )
     p = sub.add_parser("enumerate", help=enumerate_help, description=enumerate_help)
@@ -401,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify_help = (
         "check the product formula for the family series; refuses --wmax or --hmax"
-        f" above {VERIFY_GF_MAX_SIDE} and --xymax above {FAMILY_MAX_XY}"
+        f" above {FAMILY_MAX_SIDE} and --xymax above {FAMILY_MAX_XY}"
     )
     p = sub.add_parser("verify-gf", help=verify_help, description=verify_help)
     p.add_argument("--wmax", type=_int_at_least(1), default=4)
@@ -409,11 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xymax", type=_cap, default=6)
     p.set_defaults(handler=cmd_verify_gf)
 
-    p = sub.add_parser("bench", help="wall-time scaling of the rank pipeline")
-    p.add_argument("--sizes", type=_sizes_list, default=None, help="comma-separated m+n values")
-    p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--runs", type=_int_at_least(1), default=5)
-    p.set_defaults(handler=cmd_bench)
     return parser
 
 
@@ -431,7 +355,10 @@ def _attach_input_values(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_attach_input_values(sys.argv[1:] if argv is None else argv))
+    try:
+        args = parser.parse_args(_attach_input_values(sys.argv[1:] if argv is None else argv))
+    except SystemExit as exc:  # argparse's own exit: 2 for a usage error, 0 after --help
+        return exc.code
     try:
         return args.handler(args)
     except UsageError as exc:

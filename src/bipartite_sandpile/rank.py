@@ -78,7 +78,6 @@ from .core import (
     from_counts,
     is_compact,
     is_sorted,
-    is_stable,
     stable_parts,
     value_counts,
 )
@@ -280,19 +279,20 @@ def next_toward_recurrent(u: Configuration) -> Configuration:
     """One grid slide northeast to the next stable configuration; fixed points
     are exactly the recurrent sorted configurations.
 
-    Walks the green path step by step (east while the first b-value is
-    non-negative, else north) until the window shows a stable configuration.
+    The dual of ``next_toward_parking``: the move is east^c north^t for the
+    lowest row t in 1..n whose red column c = c_t lies in the green path's
+    run (b_(t-1), b_t] into that row, where row n closes the cycle with
+    c_n = m - 1 and b_n = b_0 + m.  No row qualifies exactly when the
+    configuration is recurrent sorted.
     """
     _require_stable_sorted(u, "next_toward_recurrent")
-    if is_recurrent_sorted(u):
-        return u
     m, n = u.shape.m, u.shape.n
-    v = u
-    for _ in range(4 * (m + n) + 8):
-        v = shift_east(v) if v.b[0] >= 0 else shift_north(v)
-        if is_stable(v):
-            return v
-    raise RuntimeError("no stable configuration found northeast; this cannot happen")
+    red = list(red_columns(value_counts(n - 1, u.a))) + [m - 1]
+    b = u.b + (u.b[0] + m,)
+    for t in range(1, n + 1):  # 0-based rows, as in next_toward_parking
+        if b[t - 1] < red[t] <= b[t]:
+            return _grid_shift(u, red[t], t)
+    return u
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,13 @@
+import re
 from itertools import combinations_with_replacement
 
+from bipartite_sandpile.cli import build_parser
 from bipartite_sandpile.core import Configuration, GraphShape
+
+
+def cli_subcommands() -> list[str]:
+    """The subcommands of the kmn-sandpile parser, read off its usage line."""
+    return re.search(r"\{([^}]*)\}", build_parser().format_usage()).group(1).split(",")
 
 
 def stable_sorted_partials(m: int, n: int):

@@ -6,10 +6,11 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines.
 """
 
 import random
+import time
 
 import pytest
 
-from bipartite_sandpile.core import GraphShape, config, degree, sort_config
+from bipartite_sandpile.core import Configuration, GraphShape, config, degree, sort_config
 from bipartite_sandpile import cylindric, genfunc, oracle
 from bipartite_sandpile.rank import (
     canonical_divisor,
@@ -200,10 +201,62 @@ def test_criterion_7_product_formula():
                "L-quotient, and brute-force counts")
 
 
-def test_criterion_8_linear_scaling():
-    from bipartite_sandpile.cli import DEFAULT_BENCH_SIZES, run_bench
+LADDER_SIZES = [100_000 * 2**k for k in range(8)]  # m + n = 1e5 .. 1.28e7
 
-    rows = run_bench(DEFAULT_BENCH_SIZES, seed=2024, runs=5)
+
+def _ladder_configuration(total: int, rng) -> Configuration:
+    """Ladder inputs: a,b uniform in [0,4n] / [0,4m], so every pipeline
+    stage sees nontrivial quotients, and a degree drawn from one of the three
+    regimes of rank, picked uniformly: below 0 (rank -1), 0..2g-2, and above
+    2g-2 (rank deg - g), with g = (m-1)(n-1)."""
+    m = total // 2
+    n = total - m
+    g = (m - 1) * (n - 1)
+    a = rng.choices(range(4 * n + 1), k=m - 1)
+    b = rng.choices(range(4 * m + 1), k=n)
+    regimes = [(-g - 1, -1), (0, 2 * g - 2), (2 * g - 1, 3 * g + 1)]
+    lo, hi = rng.choice([r for r in regimes if r[0] <= r[1]])
+    sink = rng.randint(lo, hi) - sum(a) - sum(b)
+    return Configuration(GraphShape(m, n), tuple(a), sink, tuple(b))
+
+
+def _ladder(sizes: list[int], seed: int, runs: int) -> list[dict]:
+    """Median rank_of time per size, each row with the ratio to the previous
+    size's median.  CPU time of this process, not wall time, so that other
+    processes holding the CPU do not count."""
+    rows = []
+    prev_median = None
+    for total in sizes:
+        u = _ladder_configuration(total, random.Random(seed * 1_000_003 + total))
+        times = []
+        for _ in range(runs):
+            start = time.process_time()
+            rank_of(u)
+            times.append(time.process_time() - start)
+        median = sorted(times)[len(times) // 2]
+        ratio = None if prev_median is None else median / prev_median
+        rows.append({"size": total, "median_sec": median, "ratio": ratio})
+        prev_median = median
+    return rows
+
+
+def test_ladder_generation_is_deterministic():
+    assert _ladder_configuration(40, random.Random(940)) == _ladder_configuration(40, random.Random(940))
+
+
+def test_ladder_degrees_cover_the_three_regimes():
+    rng = random.Random(5)
+    seen = set()
+    for total in (2, 3, 40, 41) * 15:
+        u = _ladder_configuration(total, rng)
+        g = (u.shape.m - 1) * (u.shape.n - 1)
+        d = degree(u)
+        seen.add(0 if d < 0 else 1 if d <= 2 * g - 2 else 2)
+    assert seen == {0, 1, 2}
+
+
+def test_criterion_8_linear_scaling():
+    rows = _ladder(LADDER_SIZES, seed=2024, runs=5)
     ratios = [row["ratio"] for row in rows[1:]]
     for row in rows:
         ratio = "" if row["ratio"] is None else f"{row['ratio']:.2f}"

@@ -12,15 +12,15 @@ from bipartite_sandpile.cli import (
     CHECK_MAX_DEGREE,
     CHECK_MAX_VERTICES,
     ENUMERATE_MAX_DEGREES,
-    ENUMERATE_MAX_SIDE,
+    FAMILY_MAX_SIDE,
     FAMILY_MAX_XY,
     RENDER_MAX_CELLS,
-    VERIFY_GF_MAX_SIDE,
     main,
-    run_bench,
 )
 from bipartite_sandpile.core import from_json_dict, sort_config, stabilize, to_json_dict
 from bipartite_sandpile.rank import parking_representative, r_vector, rank_greedy
+
+from conftest import cli_subcommands
 
 RUN75 = '{"m":7,"n":5,"a":[0,0,0,3,3,3],"sink":21,"b":[0,0,0,3,3]}'
 
@@ -225,8 +225,8 @@ class TestEnumerate:
     @pytest.mark.parametrize(
         "argv",
         [
-            [str(ENUMERATE_MAX_SIDE + 1), "2"],
-            ["2", str(ENUMERATE_MAX_SIDE + 1)],
+            [str(FAMILY_MAX_SIDE + 1), "2"],
+            ["2", str(FAMILY_MAX_SIDE + 1)],
             ["3", "3", "--xymax", str(FAMILY_MAX_XY + 1)],
             ["3", "3", "--table", "dr", "--dmin", "0", "--dmax", str(ENUMERATE_MAX_DEGREES)],
         ],
@@ -265,7 +265,7 @@ class TestVerifyGf:
 
     @pytest.mark.parametrize(
         "flag,limit",
-        [("--wmax", VERIFY_GF_MAX_SIDE), ("--hmax", VERIFY_GF_MAX_SIDE), ("--xymax", FAMILY_MAX_XY)],
+        [("--wmax", FAMILY_MAX_SIDE), ("--hmax", FAMILY_MAX_SIDE), ("--xymax", FAMILY_MAX_XY)],
     )
     def test_size_bound(self, capsys, monkeypatch, flag, limit):
         def forbidden(*args, **kwargs):
@@ -332,42 +332,6 @@ class TestRankCheckOnRandoms:
         assert code == 0 and json.loads(out)["rank"] == CHECK_MAX_DEGREE
 
 
-class TestBench:
-    def test_tiny_sizes_report(self, capsys):
-        code, out, _ = run(capsys, "bench", "--sizes", "64,128", "--runs", "1", "--seed", "7")
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0].split() == ["m+n", "median_sec", "ratio"]
-        assert len(lines) == 4  # header, two rows, verdict
-        assert "linearity" in lines[-1]
-
-    def test_deterministic_generation(self):
-        from bipartite_sandpile.cli import generate_random_configuration
-        import random
-
-        a = generate_random_configuration(40, random.Random(940))
-        b = generate_random_configuration(40, random.Random(940))
-        assert a == b
-
-    def test_generated_degrees_cover_the_three_regimes(self):
-        from bipartite_sandpile.cli import generate_random_configuration
-        from bipartite_sandpile.core import degree
-        import random
-
-        rng = random.Random(5)
-        seen = set()
-        for total in (2, 3, 40, 41) * 15:
-            u = generate_random_configuration(total, rng)
-            g = (u.shape.m - 1) * (u.shape.n - 1)
-            d = degree(u)
-            seen.add(0 if d < 0 else 1 if d <= 2 * g - 2 else 2)
-        assert seen == {0, 1, 2}
-
-    def test_run_bench_rows(self):
-        rows = run_bench([32, 64], seed=1, runs=1)
-        assert rows[0]["ratio"] is None and rows[1]["ratio"] > 0
-
-
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
@@ -398,11 +362,36 @@ class TestRankInputFuzz:
             assert "rank" in json.loads(out.getvalue())
 
 
+SMALL_CONFIG = '{"m":2,"n":3,"a":[1],"sink":3,"b":[0,1,1]}'
+# integers stay in -2..4 so that enumerate and verify-gf stay small
+ARGV_TOKENS = st.integers(-2, 4).map(str) | st.sampled_from(
+    [
+        "-i", "--input", SMALL_CONFIG, "[1,2]", "--format", "json", "text", "svg",
+        "--check", "--proof", "--cylindric", "--shade", "--table", "xy", "dr",
+        "--xymax", "--dmin", "--dmax", "--wmax", "--hmax", "--help", "--bogus",
+    ]
+)
+
+
+class TestArgvFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(cli_subcommands()), st.lists(ARGV_TOKENS, max_size=8))
+    def test_any_argv_gives_an_exit_code(self, command, tokens):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, *tokens])
+        assert code in (0, 1, 2)
+
+
 class TestUsage:
     def test_unknown_command(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["frobnicate"])
-        assert exc.value.code == 2
+        assert main(["frobnicate"]) == 2
+        assert main(["bench"]) == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_help_returns_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert main(["rank", "--help"]) == 0
+        assert "usage: kmn-sandpile rank" in capsys.readouterr().out
 
     # argparse rejects these values itself, like any other bad argument
     @pytest.mark.parametrize(
@@ -410,15 +399,12 @@ class TestUsage:
         [
             ["verify-gf", "--wmax", "-1"],
             ["enumerate", "3", "3", "--xymax", "-1"],
-            ["bench", "--runs", "0"],
             ["verify-gf", "--wmax", "0"],
             ["verify-gf", "--hmax", "0"],
         ],
     )
     def test_out_of_range_argument(self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
+        assert main(argv) == 2
         assert "expected an integer >=" in capsys.readouterr().err
 
     def test_integer_past_the_int_string_limit_as_the_input(self, capsys):

@@ -1,13 +1,17 @@
 """Module boundaries of the package: no module reaches into another's private
 names.  A leading underscore marks a name as its module's own; only ``self``
-and ``cls`` may read private attributes, and dunder names are public."""
+and ``cls`` may read private attributes, and dunder names are public.  The
+README names only commands the command line has."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import bipartite_sandpile
+
+from conftest import cli_subcommands
 
 SOURCES = sorted(Path(bipartite_sandpile.__file__).parent.glob("*.py"))
 
@@ -44,3 +48,9 @@ def test_the_checker_sees_both_forms():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_cross_module_private_names(path):
     assert private_uses(path.read_text(encoding="utf-8")) == []
+
+
+def test_readme_names_only_existing_subcommands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"kmn-sandpile ([a-z][a-z-]*)", readme))
+    assert named and named <= set(cli_subcommands()), sorted(named - set(cli_subcommands()))

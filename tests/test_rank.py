@@ -12,6 +12,7 @@ from bipartite_sandpile.core import (
     config,
     degree,
     is_compact,
+    is_stable,
     sort_config,
     stabilize,
 )
@@ -165,6 +166,15 @@ class TestTowardParking:
             back = next_toward_recurrent(u)
             if back != u:
                 assert next_toward_parking(back) == u
+
+    def test_far_crossing_is_one_slide(self):
+        # the green path first meets the red one a full turn away; walking it
+        # one shift at a time cost O((m+n)^2)
+        m = n = 300
+        u = config(m, n, [n - 1] * (m - 1), None, [0] * n)
+        back = next_toward_recurrent(u)
+        assert back != u and is_stable(back)
+        assert next_toward_parking(back) == u
 
     def test_power_of_shifts_formula(self):
         # the slide toward parking equals explicit west/south shift powers
