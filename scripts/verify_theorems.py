@@ -25,7 +25,7 @@ def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--fast", action="store_true", help="smaller caps for a quick pass")
     args = parser.parse_args()
-    wh, xy, q = (3, 6, 8) if args.fast else (8, 12, 10)
+    wh, xy, q = (3, 6, 8) if args.fast else (16, 16, 10)
 
     ok = True
 

@@ -48,13 +48,16 @@ CHECK_MAX_DEGREE = 1024
 # per sink unit; at this size a text picture takes up to about two seconds
 RENDER_MAX_CELLS = 250_000
 
-# enumerate and verify-gf work through every row-gap vector of each shape, a
-# number exponential in m and n.  At these bounds (2-core host, Python 3.11)
-# verify-gf --wmax 8 --hmax 8 --xymax 16 takes about 10 s, enumerate 8 8
-# about 4 s with --table xy --xymax 16 and 2-3 s over 24 degrees of dr
-FAMILY_MAX_SIDE = 8  # m and n of enumerate, --wmax and --hmax of verify-gf
+# enumerate and verify-gf run a row transfer whose work is rows times Q
+# values times (c, b) states times table cells, polynomial in m, n and the
+# caps, and verify-gf also divides series within the caps.  At these bounds
+# (2-core host, Python 3.11) verify-gf --wmax 16 --hmax 16 --xymax 16 takes
+# 5-7 s, most of it in the closed form, enumerate 16 16 about 0.4 s with
+# --table xy --xymax 16 and at most 4.5 s with --table dr over 64 degrees
+# (--dmin 191, where the window costs most)
+FAMILY_MAX_SIDE = 16  # m and n of enumerate, --wmax and --hmax of verify-gf
 FAMILY_MAX_XY = 16  # --xymax of both
-ENUMERATE_MAX_DEGREES = 24  # degrees in the --dmin..--dmax window of --table dr
+ENUMERATE_MAX_DEGREES = 64  # degrees in the --dmin..--dmax window of --table dr
 
 
 def _read_configuration(raw: str) -> Configuration:

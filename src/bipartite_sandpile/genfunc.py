@@ -4,7 +4,10 @@ identities tying their degree/rank distribution to parallelogram polyominoes.
 The tables come in two equivalent parameterizations: (degree, rank) and the
 pair (xpara, ypara) = ((m-1)(n-1)+rank-degree, rank+1), whose joint
 distribution is symmetric and has a product-form generating function over all
-shapes at once.
+shapes at once.  Both tables and the family series are counted by a row
+transfer of polynomial size (``_row_transfer``), which builds no
+configuration; enumeration stays as the reference and for the direct side of
+the boundary identities.
 """
 
 from __future__ import annotations
@@ -13,15 +16,16 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, combinations_with_replacement
+from itertools import combinations_with_replacement
 
 from .core import Configuration, GraphShape, SandpileError
-from .cylindric import boundary_sets, xpara, ypara
+from .cylindric import axes_prefactor, boundary_sets, xpara, ypara
 # rank_parking_sorted is not called here: kmnbench/gfcheck.py's traced run wraps it
-from .rank import rank_parking_sorted, rank_sweep, row_gaps
+from .rank import rank_parking_sorted, row_gaps
 from .series import SeriesRing, TruncatedSeries
 
-ENUMERATION_GUARD = 10**8
+ENUMERATION_GUARD = 10**8  # candidates enumerate_parking_sorted filters
+TRANSFER_GUARD = 10**9  # table cells the row transfer may handle (_parking_counts)
 
 
 @dataclass(frozen=True)
@@ -46,23 +50,17 @@ class PolyominoWeights:
 
 
 # ---------------------------------------------------------------------------
-# enumeration and the two tables
-
-
-def _require_enumerable(shape: GraphShape, who: str) -> None:
-    """Refuse the shapes whose sorted stable candidates (a-parts times
-    b-parts with first b-value 0) outnumber ENUMERATION_GUARD."""
-    m, n = shape.m, shape.n
-    candidates = math.comb(n - 1 + m - 1, m - 1) * math.comb(m + n - 2, n - 1)
-    if candidates > ENUMERATION_GUARD:
-        raise SandpileError(f"{who}: {candidates} candidates exceed the guard")
+# enumeration
 
 
 def enumerate_parking_sorted(shape: GraphShape) -> ParkingFamily:
     """All parking sorted partial configurations: sorted stable parts with
-    first b-value 0, filtered by row gaps <= 1."""
+    first b-value 0, filtered by row gaps <= 1.  Refuses the shapes whose
+    candidates (a-parts times b-parts) outnumber ENUMERATION_GUARD."""
     m, n = shape.m, shape.n
-    _require_enumerable(shape, "enumerate_parking_sorted")
+    candidates = math.comb(n - 1 + m - 1, m - 1) * math.comb(m + n - 2, n - 1)
+    if candidates > ENUMERATION_GUARD:
+        raise SandpileError(f"enumerate_parking_sorted: {candidates} candidates exceed the guard")
     configs = []
     for a in combinations_with_replacement(range(n), m - 1):
         for tail in combinations_with_replacement(range(m), n - 1):
@@ -72,48 +70,154 @@ def enumerate_parking_sorted(shape: GraphShape) -> ParkingFamily:
     return ParkingFamily(shape, tuple(configs))
 
 
-def parking_gap_vectors(m: int, n: int) -> Counter:
-    """Row-gap vectors of the parking sorted configurations of K_{m,n}, each
-    with the number of configurations that have it.
+# ---------------------------------------------------------------------------
+# the row transfer and the two tables read from it
 
-    A row-by-row transfer over the pairs (c_i, b_i) of red column and
-    b-value: the red columns rise from c_1 = 0 to at most m - 1, the b-values
-    rise from b_1 = 0 and parking keeps b_i <= c_i, so every gap
-    r_i = b_i + 1 - c_i is at most 1.  A gap prefix fixes the last
-    d = c - b = 1 - r, so a prefix's state is the count of its
-    configurations by last red column.  The next row with d' = 1 - r' takes
-    any c' >= c, and b' >= b means c <= c' - max(0, d' - d): its counts are
-    prefix sums of the old ones, shifted right by max(0, d' - d).  Each
-    entry keeps its gap and the index of the prefix it extends, and the
-    vectors are read back along these links at the end, so no prefix is
-    copied row by row (that would cost O(n^2) on K_{1,n}).  No configuration
-    is built and no candidate filtered; the shapes refused are those
-    ``enumerate_parking_sorted`` refuses.
+
+class _Cells:
+    """A table of counts by (xpara, ypara) within the caps, packed into one
+    int: cell x * (cap_y + 1) + y holds its count in a slot of ``bits``
+    bits, so the sum of two tables is one int addition.  A slot never
+    carries into the next one as long as no count formed exceeds ``bound``.
     """
-    _require_enumerable(GraphShape(m, n), "parking_gap_vectors")
-    gaps, counts = [1], [(1,) + (0,) * (m - 1)]  # row 1: c_1 = b_1 = 0
-    rows = []  # for rows 2..n: each entry's gap and the index of its prefix
-    for _ in range(n - 1):
-        next_gaps, links, grown = [], [], []
-        for index, (gap, by_column) in enumerate(zip(gaps, counts)):
-            d = 1 - gap
-            sums = tuple(accumulate(by_column))
-            for d2 in range(m):
-                lag = max(0, d2 - d)
-                if not sums[m - 1 - lag]:
-                    break  # every larger d2 lags further and is empty too
-                next_gaps.append(1 - d2)
-                links.append(index)
-                grown.append((0,) * lag + sums[: m - lag])
-        rows.append((next_gaps, links))
-        gaps, counts = next_gaps, grown
-    entries = range(len(gaps))
-    columns = []
-    for row, links in reversed(rows):
-        columns.append([row[e] for e in entries])
-        entries = [links[e] for e in entries]
-    columns.append([1] * len(gaps))
-    return Counter(dict(zip(zip(*reversed(columns)), map(sum, counts))))
+
+    def __init__(self, cap_x: int, cap_y: int, bound: int) -> None:
+        self.size = bound.bit_length() // 8 + 1  # bytes per slot
+        self.bits = 8 * self.size
+        self.cap_x, self.width = cap_x, cap_y + 1
+        self.cells = (cap_x + 1) * self.width
+        self.block = self.width * self.bits  # the cells of one xpara
+        self.whole = (1 << (self.cells * self.bits)) - 1
+        repunit = self.whole // ((1 << self.block) - 1)  # one low slot per block
+        # keep[t]: the cells with ypara <= cap_y - t, which may take t more
+        self.keep = [((1 << ((self.width - t) * self.bits)) - 1) * repunit for t in range(self.width)]
+
+    def step(self, table: int, t: int) -> int:
+        """Add t^+ to ypara and (-t)^+ to xpara of every count, dropping the
+        counts that pass a cap."""
+        if t == 0 or not table:
+            return table
+        if t > 0:
+            return (table & self.keep[t]) << (t * self.bits) if t < self.width else 0
+        return (table << (-t * self.block)) & self.whole if -t <= self.cap_x else 0
+
+    def unpack(self, table: int) -> dict[tuple[int, int], int]:
+        """The non-zero counts of a table, keyed (xpara, ypara)."""
+        size = self.size
+        raw = table.to_bytes(self.cells * size, "little")
+        out = {}
+        for key in range(self.cells):
+            count = int.from_bytes(raw[key * size : (key + 1) * size], "little")
+            if count:
+                out[divmod(key, self.width)] = count
+        return out
+
+
+def _prefix_sums(tables: list[int], m: int) -> list[int]:
+    """For every state (c', b') the sum of the tables of the states (c, b)
+    with c <= c' and b <= b'.  States are listed (0,0), (1,0), (1,1), (2,0),
+    ..., (m-1,m-1)."""
+    out: list[int] = []
+    columns: list[int] = []  # columns[b]: the sum for (c, b) at the current c
+    total = 0  # every state of the rows 0..c
+    states = iter(tables)
+    for c in range(m):
+        row = 0  # states (c, 0..b)
+        for b in range(c):
+            row += next(states)
+            columns[b] += row
+            out.append(columns[b])
+        # every state (c'', b'') with c'' <= c has b'' <= c: (c, c) takes them all
+        total += row + next(states)
+        columns.append(total)
+        out.append(total)
+    return out
+
+
+def _row_transfer(m: int, q: int, rows: int, cells: _Cells):
+    """For n = 1..rows, the tables of the states of row n that are past the
+    phase switch: together, the counts of parking sorted configurations of
+    K_{m,n} with sink + 1 = nQ + R, Q = q and 0 <= R < n, by (xpara, ypara)
+    within the caps.  Stops once every table is empty.
+
+    A parking sorted configuration is a sequence of states (c_i, b_i), red
+    column and b-value of row i, with 0 <= b_i <= c_i <= m - 1: the red
+    columns and the b-values rise from c_1 = b_1 = 0, parking is b_i <= c_i
+    (row gap r_i = b_i + 1 - c_i <= 1), and the red columns fix the a-part.
+    Write d_i = c_i - b_i = 1 - r_i and k_i = Q + [i < R] for the labels the
+    rank loop visits in row i (0-based).  The rank is sum (k_i - d_i)^+ - 1
+    and sum k_i = sink + 1, so ypara = rank + 1 = sum (k_i - d_i)^+ and
+    xpara = rank + D - sink = sum (d_i - k_i)^+ with D = sum d_i: row i adds
+    (d_i - k_i)^+ to xpara and (k_i - d_i)^+ to ypara.  Neither ever falls,
+    so a count past a cap is dropped for good.
+
+    A phase bit tells the rows before R (k = Q + 1) from the rest (k = Q);
+    a path switches once, at row R.  Since k_i depends on Q and on i < R
+    but not on n, one run serves every n.  Only the states past the switch
+    are read: a path still before it at row n would have R = n, that is
+    sink + 1 = n(Q + 1) + 0, which the run of Q + 1 counts with R = 0.  The
+    next row's state (c', b') follows any (c, b) with c <= c' and b <= b',
+    so its table, before the row's own statistics, is a prefix sum of the
+    previous row.
+
+    Every count formed is of pairs (configuration of the first i rows,
+    switch row in 0..i) with i <= rows, so at most (rows + 1) times the
+    Narayana number of K_{m,rows}; ``cells`` must be built with that bound.
+    """
+    ds = [c - b for c in range(m) for b in range(c + 1)]
+    empty = [0] * (len(ds) - 1)
+    before = [cells.step(1, q + 1)] + empty  # row 1 is the state (0, 0)
+    after = [cells.step(1, q)] + empty
+    yield after
+    for _ in range(rows - 1):
+        if not any(before) and not any(after):
+            return
+        sums_before, sums_after = _prefix_sums(before, m), _prefix_sums(after, m)
+        before = [cells.step(t, q + 1 - d) for t, d in zip(sums_before, ds)]
+        after = [cells.step(s + t, q - d) for s, t, d in zip(sums_before, sums_after, ds)]
+        yield after
+
+
+def _narayana(m: int, n: int) -> int:
+    """The number of parking sorted partial configurations of K_{m,n}."""
+    k = m + n - 1
+    return math.comb(k, m) * math.comb(k, m - 1) // k
+
+
+def _q_values(m: int, rows: range, band: tuple[int, int]) -> range:
+    """The Q whose runs can end, at some n in rows, with ypara - xpara =
+    sink + 1 - D = nQ + R - D in the band; 0 <= R < n and
+    0 <= D <= (n - 1)(m - 1), since d_1 = 0."""
+    lo, hi = band
+    first = min(-((n - 1 - lo) // n) for n in rows)
+    return range(first, max((hi + (n - 1) * (m - 1)) // n for n in rows) + 1)
+
+
+def _parking_counts(
+    who: str, ms: range, rows: range, band: tuple[int, int], cap_x: int, cap_y: int
+) -> dict[tuple[int, int], dict[tuple[int, int], int]]:
+    """For each m in ms and n in rows, the counts of full parking sorted
+    configurations of K_{m,n} by (xpara, ypara) within the caps, from one
+    ``_row_transfer`` per (m, Q) over rows[-1] rows.  Counts with
+    ypara - xpara outside the band may be missing.
+
+    Refuses, before any work, when the size of that work, rows times Q
+    values times (c, b) states times cells within the caps, summed over m,
+    exceeds TRANSFER_GUARD."""
+    runs = sum(len(_q_values(m, rows, band)) * m * (m + 1) // 2 for m in ms)
+    work = rows[-1] * runs * (cap_x + 1) * (cap_y + 1)
+    if work > TRANSFER_GUARD:
+        raise SandpileError(f"{who}: {work} transfer steps exceed the guard")
+    out = {}
+    for m in ms:
+        cells = _Cells(cap_x, cap_y, (rows[-1] + 1) * _narayana(m, rows[-1]))
+        totals = {n: 0 for n in rows}
+        for q in _q_values(m, rows, band):
+            for n, tables in enumerate(_row_transfer(m, q, rows[-1], cells), 1):
+                if n in totals:
+                    totals[n] += sum(tables)
+        out.update({(m, n): cells.unpack(total) for n, total in totals.items()})
+    return out
 
 
 def degree_rank_table(
@@ -122,44 +226,44 @@ def degree_rank_table(
     """Counts of full parking sorted configurations by (degree, rank), the
     sink running over the given inclusive degree window.
 
-    The a- and b-values with row gaps r sum to g - D, g = (m-1)(n-1) and
-    D = n - sum r, so sink s has degree g - D + s: each gap vector from
-    ``parking_gap_vectors`` sweeps the sinks lo - g + D .. hi - g + D once
-    with ``rank_sweep``, weighted by its multiplicity.
+    Every degree has one configuration per parking sorted partial one.
+    Below degree 0 the rank is -1 and above 2g - 2 it is degree - g,
+    g = (m-1)(n-1) (Riemann-Roch).  The part low..high of the window inside
+    0..2g-2 is read off one transfer: (degree, rank) =
+    (g - 1 - xpara + ypara, ypara - 1), and the window is its band on
+    ypara - xpara.  There rank <= degree / 2 (Clifford's theorem, which
+    Riemann-Roch gives for graphs as for curves), so every count lies within
+    the caps xpara = g - degree + rank <= g - ceil(low / 2) and
+    ypara <= floor(high / 2) + 1.
     """
     lo, hi = degree_window
     m, n = shape.m, shape.n
-    counts: dict[tuple[int, int], int] = {}
-    for gaps, mult in parking_gap_vectors(m, n).items():
-        ranks = rank_sweep(gaps, lo - (m - 1) * (n - 1) + n - sum(gaps), hi - lo + 1)
-        for key in zip(range(lo, hi + 1), ranks):
-            counts[key] = counts.get(key, 0) + mult
+    g = (m - 1) * (n - 1)
+    narayana = _narayana(m, n)
+    counts = {(d, -1): narayana for d in range(lo, min(hi, -1) + 1)}
+    counts.update({(d, d - g): narayana for d in range(max(lo, 2 * g - 1, 0), hi + 1)})
+    low, high = max(lo, 0), min(hi, 2 * g - 2)
+    if low <= high:
+        band, cap_x, cap_y = (low - g + 1, high - g + 1), g - (low + 1) // 2, high // 2 + 1
+        table = _parking_counts("degree_rank_table", range(m, m + 1), range(n, n + 1), band,
+                                cap_x, cap_y)[m, n]
+        for (xp, yp), c in table.items():
+            if low <= g - 1 - xp + yp <= high:
+                counts[g - 1 - xp + yp, yp - 1] = c
     return counts
 
 
 def xy_table(shape: GraphShape, ring: SeriesRing) -> TruncatedSeries:
     """Generating function of (xpara, ypara) over all full parking sorted
-    configurations, truncated to the ring's x/y caps.
-
-    Each gap vector r from ``parking_gap_vectors`` adds its multiplicity at
-    (xpara, ypara) = (rank + D - sink, rank + 1), D = n - sum r, for each
-    sink of one window, swept by ``rank_sweep``.  Both statistics are sums
-    of positive parts (see ``rank_sweep``), so >= 0, and ypara - xpara =
-    sink + 1 - D: a pair within the caps has -cap_x <= sink + 1 - D <= cap_y,
-    so every contributing sink lies in D - cap_x - 1 .. D + cap_y - 1.
-    """
+    configurations, truncated to the ring's x/y caps, from the row transfer
+    (see ``_row_transfer``)."""
     ix, iy = ring.index("x"), ring.index("y")
     cap_x, cap_y = ring.caps[ix], ring.caps[iy]
-    coeffs: dict[tuple[int, int], int] = {}
-    for gaps, mult in parking_gap_vectors(shape.m, shape.n).items():
-        low = shape.n - sum(gaps) - cap_x - 1
-        # at sink low + j, xpara = rank + D - sink = rank + cap_x + 1 - j
-        for j, rank in enumerate(rank_sweep(gaps, low, cap_x + cap_y + 1)):
-            xp = rank + cap_x + 1 - j
-            if xp <= cap_x and rank < cap_y:
-                coeffs[(xp, rank + 1)] = coeffs.get((xp, rank + 1), 0) + mult
+    m, n = shape.m, shape.n
+    table = _parking_counts("xy_table", range(m, m + 1), range(n, n + 1), (-cap_x, cap_y),
+                            cap_x, cap_y)[m, n]
     out: dict[tuple[int, ...], int] = {}
-    for (xp, yp), c in coeffs.items():
+    for (xp, yp), c in table.items():
         key = [0] * len(ring.variables)
         key[ix] = xp
         key[iy] = yp
@@ -370,24 +474,33 @@ def compare_series(lhs: TruncatedSeries, rhs: TruncatedSeries) -> GfReport:
 
 def family_series(mmax: int, nmax: int, ring: SeriesRing) -> TruncatedSeries:
     """Sum over shapes of the xpara/ypara table times w^m h^n (the left-hand
-    side of the main identity, exact for all w,h exponents within caps)."""
-    total = ring.zero()
-    for m in range(1, mmax + 1):
-        for n in range(1, nmax + 1):
-            table = xy_table(GraphShape(m, n), ring)
-            total = total + table * ring.monomial({"w": m, "h": n})
-    return total
+    side of the main identity, exact for all w,h exponents within caps): one
+    row transfer per (m, Q) over nmax rows gives every n <= nmax."""
+    if mmax < 1 or nmax < 1:
+        return ring.zero()
+    ix, iy, iw, ih = (ring.index(v) for v in ("x", "y", "w", "h"))
+    cap_x, cap_y = ring.caps[ix], ring.caps[iy]
+    tables = _parking_counts("family_series", range(1, mmax + 1), range(1, nmax + 1),
+                             (-cap_x, cap_y), cap_x, cap_y)
+    out: dict[tuple[int, ...], int] = {}
+    for (m, n), table in tables.items():
+        for (xp, yp), c in table.items():
+            key = [0] * len(ring.variables)
+            key[ix], key[iy], key[iw], key[ih] = xp, yp, m, n
+            out[tuple(key)] = c
+    return ring.from_coeffs(out)
 
 
 def gf_closed_form(ring: SeriesRing) -> TruncatedSeries:
-    """(1-xy)(hw - P(x)P(y)) / ((1-x)(1-y)(1-h-w-P(x)-P(y)))."""
+    """(1-xy)(hw - P(x)P(y)) / ((1-x)(1-y)(1-h-w-P(x)-P(y))), computed as
+    (hw - P(x)P(y)) / (1-h-w-P(x)-P(y)) times ``axes_prefactor``: the one
+    division sweep runs over the polyomino factor alone."""
     one = ring.one()
-    x, y, w, h = ring.var("x"), ring.var("y"), ring.var("w"), ring.var("h")
+    hw = ring.monomial({"h": 1, "w": 1})
     px = polyomino_series(PolyominoWeights("x"), ring)
     py = polyomino_series(PolyominoWeights("y"), ring)
-    numer = (one - x * y) * (h * w - px * py)
-    denom = (one - x) * (one - y) * (one - h - w - px - py)
-    return numer / denom
+    denom = one - ring.var("h") - ring.var("w") - px - py
+    return (hw - px * py) / denom * axes_prefactor(ring)
 
 
 def verify_gf(mmax: int, nmax: int, cap_x: int, cap_y: int) -> GfReport:

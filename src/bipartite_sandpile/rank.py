@@ -23,9 +23,9 @@ non-empty.
 Validation happens once, at the public boundary.  The public functions take a
 Configuration, check what they require of it (stable, sorted, parking, a
 sink) and hand plain tuples or lists to kernels that trust their input:
-``red_columns``/``row_gaps``, the parking slide ``_slide``, the rank formula
-``rank_from_gaps`` and its sweep over consecutive sinks ``rank_sweep`` here,
-``stable_parts``/``value_counts``/``from_counts`` in ``core``.  ``rank_of``,
+``red_columns``/``row_gaps``, the parking slide ``_slide`` and the rank
+formula ``rank_from_gaps`` here, ``stable_parts``/``value_counts``/
+``from_counts`` in ``core``.  ``rank_of``,
 ``parking_representative`` and ``rank_with_proof`` run stabilize, counting
 sort, park and formula as one pass over these kernels (``_park_pass``), with
 no Configuration built in between and each gap computed once.  The
@@ -446,29 +446,6 @@ def rank_from_gaps(gaps, sink: int) -> int:
         if term > 0:
             total += term
     return total - 1
-
-
-def rank_sweep(gaps, sink: int, count: int):
-    """Ranks for the sinks sink .. sink+count-1 of the parking sorted
-    configuration with these row gaps (all <= 1), without validation: O(n)
-    for the first, then O(1) each.  From s to s+1 the rank grows by 1 when
-    label s+1 = qn + t sits right of the red cut, q + r_t >= 1 (as in
-    ``cylindric.label_cells``), never for s+1 < 0.  With sink+1 = nQ+R,
-    0 <= R < n, k_i = Q + [i < R] labels visited in row i and d_i = 1 - r_i,
-    the rank is sum (k_i - d_i)^+ - 1; as sum k_i = sink+1, ypara = rank + 1
-    = sum (k_i - d_i)^+ and xpara = rank + D - sink = sum (d_i - k_i)^+ with
-    D = sum d_i = n - sum r_i.
-    """
-    n = len(gaps)
-    rank = rank_from_gaps(gaps, sink)
-    q, t = divmod(sink + 1, n)
-    for _ in range(count):
-        yield rank
-        if q + gaps[t] >= 1:
-            rank += 1
-        t += 1
-        if t == n:
-            q, t = q + 1, 0
 
 
 def rank_parking_sorted(u: Configuration) -> int:

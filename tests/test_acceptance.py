@@ -185,6 +185,8 @@ def test_criterion_7_product_formula():
     assert wide.ok, wide.describe()
     wider = genfunc.verify_gf(7, 7, 12, 12)
     assert wider.ok, wider.describe()
+    widest = genfunc.verify_gf(8, 8, 16, 16)
+    assert widest.ok, widest.describe()
 
     ring = SeriesRing(("q", "w", "h"), (10, 5, 5))
     plain = genfunc.polyomino_series(genfunc.PolyominoWeights("q"), ring)
@@ -197,7 +199,8 @@ def test_criterion_7_product_formula():
     assert genfunc.polyomino_counts(max_area, 5, 5) == brute
     verdict(7, f"main product formula ({report.entries_checked} coefficients at m,n <= 5, x,y <= 8; "
                f"{wide.entries_checked} at m,n <= 6, x,y <= 10; "
-               f"{wider.entries_checked} at m,n <= 7, x,y <= 12), polyomino identity, "
+               f"{wider.entries_checked} at m,n <= 7, x,y <= 12; "
+               f"{widest.entries_checked} at m,n <= 8, x,y <= 16), polyomino identity, "
                "L-quotient, and brute-force counts")
 
 

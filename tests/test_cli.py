@@ -248,9 +248,14 @@ class TestEnumerate:
         code, out, err = run(capsys, "enumerate", "3", "3", "--table", "dr", "--dmin", "5", "--dmax", "2")
         assert code == 2 and out == "" and "--dmin 5 is above --dmax 2" in err
 
+    def test_largest_shape_is_accepted(self, capsys):
+        side, xy = str(FAMILY_MAX_SIDE), str(FAMILY_MAX_XY)
+        code, out, _ = run(capsys, "enumerate", side, side, "--xymax", xy)
+        assert code == 0 and out.count("\n") == FAMILY_MAX_XY + 2
+
     def test_largest_window_is_accepted(self, capsys):
         window = ["--dmin", "0", "--dmax", str(ENUMERATE_MAX_DEGREES - 1)]
-        code, out, _ = run(capsys, "enumerate", "2", "2", "--table", "dr", *window)
+        code, out, _ = run(capsys, "enumerate", str(FAMILY_MAX_SIDE), "2", "--table", "dr", *window)
         assert code == 0 and out.startswith("r\\d,0,1,")
 
 
@@ -261,6 +266,16 @@ class TestVerifyGf:
 
     def test_default_documented_caps(self, capsys):
         code, out, _ = run(capsys, "verify-gf", "--wmax", "4", "--hmax", "4", "--xymax", "6")
+        assert code == 0 and "PASS" in out
+
+    @pytest.mark.parametrize(
+        "caps",
+        [(FAMILY_MAX_SIDE, FAMILY_MAX_SIDE, 2), (FAMILY_MAX_SIDE, 2, FAMILY_MAX_XY),
+         (2, FAMILY_MAX_SIDE, FAMILY_MAX_XY)],
+    )
+    def test_at_the_bounds(self, capsys, caps):
+        wmax, hmax, xymax = map(str, caps)
+        code, out, _ = run(capsys, "verify-gf", "--wmax", wmax, "--hmax", hmax, "--xymax", xymax)
         assert code == 0 and "PASS" in out
 
     @pytest.mark.parametrize(

@@ -1,10 +1,11 @@
 import math
 import time
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 
-from bipartite_sandpile import cylindric, genfunc
+from bipartite_sandpile import cylindric, genfunc, rank
 from bipartite_sandpile.core import GraphShape, SandpileError, config, degree
 from bipartite_sandpile.genfunc import (
     PolyominoWeights,
@@ -17,7 +18,6 @@ from bipartite_sandpile.genfunc import (
     family_series,
     gf_closed_form,
     l_series,
-    parking_gap_vectors,
     polyomino_counts,
     polyomino_series,
     polyomino_series_via_l,
@@ -29,11 +29,10 @@ from bipartite_sandpile.oracle import is_parking_by_definition, polyomino_brutef
 from bipartite_sandpile.rank import (
     canonical_divisor,
     is_parking_sorted,
-    r_vector,
     rank_parking_sorted,
 )
 from bipartite_sandpile.cylindric import sink_series, xpara, ypara
-from bipartite_sandpile.series import SeriesRing
+from bipartite_sandpile.series import SeriesRing, TruncatedSeries
 
 # golden entries from the partial coefficient tables of the (degree, rank)
 # and (xpara, ypara) distributions on K_{5,3}
@@ -100,35 +99,39 @@ class TestEnumeration:
             enumerate_parking_sorted(GraphShape(60, 60))
 
 
-class TestParkingGapVectors:
-    def test_equals_grouped_enumeration(self):
+class TestRowTransfer:
+    @pytest.mark.parametrize("q", [0, 1])
+    def test_each_run_counts_every_configuration_once_per_remainder(self, q):
+        # with Q = q in {0, 1} every row adds at most m - 1 to xpara and at
+        # most 2 to ypara, so these caps drop nothing: row n of the run holds
+        # one count per parking sorted configuration and remainder R < n
+        rows = 6
         for m in range(1, 7):
-            for n in range(1, 7):
-                shape = GraphShape(m, n)
-                grouped = Counter(
-                    r_vector(u).entries for u in enumerate_parking_sorted(shape).configs
-                )
-                assert parking_gap_vectors(m, n) == grouped, (m, n)
-
-    def test_multiplicities_sum_to_narayana_numbers(self):
-        for m in range(1, 7):
-            for n in range(1, 7):
+            cells = genfunc._Cells(rows * (m - 1), 2 * rows, (rows + 1) * genfunc._narayana(m, rows))
+            for n, tables in enumerate(genfunc._row_transfer(m, q, rows, cells), 1):
                 k = m + n - 1
                 narayana = math.comb(k, m) * math.comb(k, m - 1) // k
-                assert sum(parking_gap_vectors(m, n).values()) == narayana, (m, n)
-        assert len(parking_gap_vectors(6, 6)) == 2848
+                assert sum(cells.unpack(sum(tables)).values()) == n * narayana, (m, n)
 
     def test_size_guard(self):
         start = time.perf_counter()
         with pytest.raises(SandpileError):
-            parking_gap_vectors(60, 60)
+            xy_table(GraphShape(60, 60), SeriesRing(("x", "y"), (16, 16)))
         with pytest.raises(SandpileError):
-            xy_table(GraphShape(60, 60), SeriesRing(("x", "y"), (4, 4)))
+            degree_rank_table(GraphShape(40, 40), (700, 723))
+        with pytest.raises(SandpileError):
+            family_series(60, 60, SeriesRing(("x", "y", "w", "h"), (4, 4, 60, 60)))
         assert time.perf_counter() - start < 1.0
 
-    def test_rejects_a_bad_shape(self):
+    def test_guard_counts_the_transfer_not_the_candidates(self):
+        # K_{9,9} has 165,636,900 enumeration candidates, which the guard of
+        # enumerate_parking_sorted refuses; the transfer builds none of them
         with pytest.raises(SandpileError):
-            parking_gap_vectors(0, 3)
+            enumerate_parking_sorted(GraphShape(9, 9))
+        ring = SeriesRing(("x", "y"), (3, 3))
+        assert sum(xy_table(GraphShape(9, 9), ring).coeffs.values()) > 0
+        table = degree_rank_table(GraphShape(9, 9), (-1, 1))
+        assert {d for d, _ in table} == {-1, 0, 1}
 
 
 class TestDegreeRankTable:
@@ -157,12 +160,13 @@ class TestDegreeRankTable:
         # middle, and degree - g above 2g - 2
         g = (m - 1) * (n - 1)
         window = (-2, 2 * g + 2)
-        expected = Counter()
-        for u in enumerate_parking_sorted(GraphShape(m, n)).configs:
-            base = sum(u.a) + sum(u.b)
-            for d in range(window[0], window[1] + 1):
-                expected[d, rank_parking_sorted(u.with_sink(d - base))] += 1
-        assert degree_rank_table(GraphShape(m, n), window) == dict(expected)
+        assert degree_rank_table(GraphShape(m, n), window) == _degree_rank_by_configuration(m, n, window)
+
+    @pytest.mark.parametrize("window", [(-6, -4), (-3, 17), (3, 5), (13, 14), (15, 15)])
+    def test_equals_the_enumeration_route_on_k53_windows(self, window):
+        # g = 8: windows below 0, across all regimes, inside 0..2g-2 with
+        # both ends odd, ending at 2g-2 and past it
+        assert degree_rank_table(GraphShape(5, 3), window) == _degree_rank_by_configuration(5, 3, window)
 
     def test_builds_no_configuration(self, monkeypatch):
         expected = degree_rank_table(GraphShape(4, 5), (-2, 14))
@@ -180,6 +184,20 @@ class TestDegreeRankTable:
         lines = text.strip().split("\n")
         assert lines[0] == "r\\d,-1,0,1,2"
         assert all(line.count(",") == 4 for line in lines)
+
+
+def _degree_rank_by_configuration(m, n, window):
+    """The (degree, rank) table from rank_parking_sorted of every
+    configuration and degree in the window."""
+    expected = Counter()
+    for u in enumerate_parking_sorted(GraphShape(m, n)).configs:
+        base = sum(u.a) + sum(u.b)
+        for d in range(window[0], window[1] + 1):
+            expected[d, rank_parking_sorted(u.with_sink(d - base))] += 1
+    return dict(expected)
+
+
+XY_CAPS = [(12, 12), (0, 0), (0, 5), (5, 0), (2, 7)]
 
 
 class TestXyTable:
@@ -203,17 +221,17 @@ class TestXyTable:
             total = total + sink_series(u, ring)
         assert total == xy_table(GraphShape(2, 3), ring)
 
-    @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5) for n in range(1, 5)])
+    @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 7) for n in range(1, 7)])
     def test_equals_per_configuration_sweep(self, m, n):
-        ring = SeriesRing(("x", "y"), (6, 6))
-        assert xy_table(GraphShape(m, n), ring) == _xy_by_configuration(m, n, ring)
+        ring = SeriesRing(("x", "y"), (12, 12))
+        assert xy_table(GraphShape(m, n), ring) == ring.from_coeffs(_xy_by_configuration(m, n))
 
-    @pytest.mark.parametrize("caps", [(0, 0), (0, 5), (5, 0), (2, 7)])
+    @pytest.mark.parametrize("caps", XY_CAPS[1:])
     def test_equals_per_configuration_sweep_at_asymmetric_caps(self, caps):
         ring = SeriesRing(("x", "y"), caps)
-        for m in range(1, 5):
-            for n in range(1, 5):
-                expected = _xy_by_configuration(m, n, ring)
+        for m in range(1, 7):
+            for n in range(1, 7):
+                expected = ring.from_coeffs(_xy_by_configuration(m, n))
                 assert xy_table(GraphShape(m, n), ring) == expected, (m, n)
 
     def test_csv_golden_corner(self):
@@ -224,22 +242,25 @@ class TestXyTable:
         assert lines[1] == "0,15,35,57"
 
 
-def _xy_by_configuration(m, n, ring):
-    """The xy table from xpara and ypara of every configuration and sink.
+@lru_cache(maxsize=None)
+def _xy_by_configuration(m, n):
+    """The xy table within x, y <= 12 (every cap pair of XY_CAPS) from the
+    rank of every configuration and sink.
 
-    Every sink whose statistics fit the caps lies in
-    [-(cap_x+1), cap_y + n(m-1)]: below it xpara >= -sink-1 > cap_x, above it
-    ypara >= sink+1-n(m-1) > cap_y (row gaps lie in [2-m, 1] and the rank is
-    at least degree - genus)."""
-    cap_x, cap_y = ring.caps
+    xpara = g + rank - degree and ypara = rank + 1, g = (m-1)(n-1), as in
+    ``cylindric.xpara``/``ypara``, which would compute the rank twice.  A
+    pair within the caps has ypara - xpara = degree - g + 1 in -12..12, so
+    each configuration is swept over the 25 degrees g - 13 .. g + 11."""
+    g = (m - 1) * (n - 1)
     counts = {}
     for u in enumerate_parking_sorted(GraphShape(m, n)).configs:
-        for s in range(-(cap_x + 1), cap_y + n * (m - 1) + 1):
-            v = u.with_sink(s)
-            key = (xpara(v), ypara(v))
-            if key[0] <= cap_x and key[1] <= cap_y:
+        base = sum(u.a) + sum(u.b)
+        for d in range(g - 13, g + 12):
+            r = rank_parking_sorted(u.with_sink(d - base))
+            key = (g + r - d, r + 1)
+            if key[0] <= 12 and key[1] <= 12:
                 counts[key] = counts.get(key, 0) + 1
-    return ring.from_coeffs(counts)
+    return counts
 
 
 class TestPolyominoes:
@@ -335,21 +356,52 @@ class TestMainIdentity:
         def forbidden(*args, **kwargs):
             raise AssertionError("the family side reached closed-form or enumeration code")
 
+        # series products and divisions too: the family side builds its
+        # result in one dict, with no per-shape product by w^m h^n
         for module, name in [
             (genfunc, "boundary_sets"),
             (genfunc, "polyomino_series"),
             (genfunc, "polyomino_counts"),
             (genfunc, "polyomino_series_via_l"),
             (genfunc, "l_series"),
+            (genfunc, "axes_prefactor"),
             (genfunc, "enumerate_parking_sorted"),
             (genfunc, "xpara"),
             (genfunc, "ypara"),
             (genfunc, "rank_parking_sorted"),
+            (rank, "rank_from_gaps"),
+            (rank, "rank_parking_sorted"),
             (cylindric, "sink_series"),
             (cylindric, "boundary_sets"),
+            (cylindric, "axes_prefactor"),
+            (TruncatedSeries, "__mul__"),
+            (TruncatedSeries, "geom_inverse"),
         ]:
             monkeypatch.setattr(module, name, forbidden)
         assert family_series(4, 4, ring) == expected
+
+    def test_closed_form_is_independent_of_the_family_side(self, monkeypatch):
+        ring = SeriesRing(("x", "y", "w", "h"), (6, 6, 4, 4))
+        expected = gf_closed_form(ring)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the closed form reached the row transfer")
+
+        for name in ("_row_transfer", "_parking_counts", "xy_table", "family_series",
+                     "enumerate_parking_sorted"):
+            monkeypatch.setattr(genfunc, name, forbidden)
+        assert gf_closed_form(ring) == expected
+
+    @pytest.mark.parametrize("caps", [(8, 8, 5, 5), (6, 6, 0, 3), (7, 2, 4, 1), (0, 5, 3, 3)])
+    def test_closed_form_equals_the_single_division(self, caps):
+        ring = SeriesRing(("x", "y", "w", "h"), caps)
+        one = ring.one()
+        x, y, w, h = (ring.var(v) for v in ("x", "y", "w", "h"))
+        px = polyomino_series(PolyominoWeights("x"), ring)
+        py = polyomino_series(PolyominoWeights("y"), ring)
+        numer = (one - x * y) * (h * w - px * py)
+        denom = (one - x) * (one - y) * (one - h - w - px - py)
+        assert gf_closed_form(ring) == numer / denom
 
     def test_w_h_symmetry_of_family_series(self):
         ring = SeriesRing(("x", "y", "w", "h"), (6, 6, 4, 4))

@@ -35,7 +35,6 @@ from bipartite_sandpile.rank import (
     rank_from_gaps,
     rank_parking_sorted,
     rank_scan,
-    rank_sweep,
     rank_with_proof,
     shift_east,
     shift_north,
@@ -450,33 +449,6 @@ class TestFusedPipeline:
             sinks = range(-3, 3 * m * n)
             ranks = [cylindric.rank_via_cylindric(u.with_sink(s)) for s in sinks]
             assert [rank_from_gaps(gaps, s) for s in sinks] == ranks
-            assert list(rank_sweep(gaps, sinks[0], len(sinks))) == ranks
-
-
-class TestRankSweep:
-    def test_equals_the_formula_on_every_gap_vector(self):
-        for m in range(1, 7):
-            for n in range(1, 7):
-                top = 2 * m * n + 2
-                for gaps in genfunc.parking_gap_vectors(m, n):
-                    for start in (-n - 3, -2):
-                        swept = list(rank_sweep(gaps, start, top - start))
-                        assert swept == [rank_from_gaps(gaps, s) for s in range(start, top)]
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.integers(1, 9).flatmap(
-            lambda m: st.tuples(
-                st.lists(st.integers(2 - m, 1), min_size=1, max_size=9),
-                WIDE_INTS,
-                st.integers(-3, 40),  # a count below 1 sweeps nothing
-            )
-        )
-    )
-    def test_equals_the_formula_on_arbitrary_gaps(self, case):
-        gaps, sink, count = case
-        swept = list(rank_sweep(gaps, sink, count))
-        assert swept == [rank_from_gaps(gaps, s) for s in range(sink, sink + count)]
 
 
 def _small_grid(m: int, n: int):
