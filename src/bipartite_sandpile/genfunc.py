@@ -41,12 +41,11 @@ class PolyominoWeights:
     """How polyomino cells are weighted in a series: the cell variable takes
     the area, optionally shifted by +-height per row (that realizes the
     substitutions h -> q*h and h -> h/q without negative exponents, since a
-    polyomino's area is at least its height)."""
+    polyomino's area is at least its height).  Width and height are always
+    the ring's "w" and "h"."""
 
     cell_var: str
     height_offset: int = 0
-    width_var: str = "w"
-    height_var: str = "h"
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +309,8 @@ def polyomino_counts(
 def polyomino_series(weights: PolyominoWeights, ring: SeriesRing) -> TruncatedSeries:
     """Polyomino generating function under the given weighting."""
     cell_cap = ring.caps[ring.index(weights.cell_var)]
-    width_cap = ring.caps[ring.index(weights.width_var)]
-    height_cap = ring.caps[ring.index(weights.height_var)]
+    width_cap = ring.caps[ring.index("w")]
+    height_cap = ring.caps[ring.index("h")]
     area_cap = cell_cap + (height_cap if weights.height_offset < 0 else 0)
     counts = polyomino_counts(area_cap, width_cap, height_cap)
     out: dict[tuple[int, ...], int] = {}
@@ -319,44 +318,42 @@ def polyomino_series(weights: PolyominoWeights, ring: SeriesRing) -> TruncatedSe
         cell_exp = area + weights.height_offset * height
         key = [0] * len(ring.variables)
         key[ring.index(weights.cell_var)] = cell_exp
-        key[ring.index(weights.width_var)] = width
-        key[ring.index(weights.height_var)] = height
+        key[ring.index("w")] = width
+        key[ring.index("h")] = height
         out[tuple(key)] = out.get(tuple(key), 0) + cnt
     return ring.from_coeffs(out)
 
 
-def l_series(ring: SeriesRing, qv: str = "q", wv: str = "w", hv: str = "h") -> TruncatedSeries:
+def l_series(ring: SeriesRing) -> TruncatedSeries:
     """The alternating double series whose quotient reproduces the polyomino
     counts: sum over (j,k) of (-1)^(j+k) w^j h^k q^C(j+k+1,2) / ((q)_k (q)_j)."""
-    wcap = ring.caps[ring.index(wv)]
-    hcap = ring.caps[ring.index(hv)]
-    qcap = ring.caps[ring.index(qv)]
+    wcap = ring.caps[ring.index("w")]
+    hcap = ring.caps[ring.index("h")]
+    qcap = ring.caps[ring.index("q")]
     total = ring.zero()
     for j in range(wcap + 1):
         for k in range(hcap + 1):
             e = (j + k + 1) * (j + k) // 2
             if e > qcap:
                 continue
-            term = ring.monomial({qv: e, wv: j, hv: k}, (-1) ** (j + k))
-            total = total + term / (_pochhammer(ring, k, qv) * _pochhammer(ring, j, qv))
+            term = ring.monomial({"q": e, "w": j, "h": k}, (-1) ** (j + k))
+            total = total + term / (_pochhammer(ring, k) * _pochhammer(ring, j))
     return total
 
 
-def _pochhammer(ring: SeriesRing, k: int, qv: str) -> TruncatedSeries:
+def _pochhammer(ring: SeriesRing, k: int) -> TruncatedSeries:
     """(q)_k = prod_{i=1..k} (1 - q^i); the empty product for k = 0."""
     out = ring.one()
     for i in range(1, k + 1):
-        out = out * (ring.one() - ring.monomial({qv: i}))
+        out = out * (ring.one() - ring.monomial({"q": i}))
     return out
 
 
-def polyomino_series_via_l(
-    ring: SeriesRing, qv: str = "q", wv: str = "w", hv: str = "h"
-) -> TruncatedSeries:
+def polyomino_series_via_l(ring: SeriesRing) -> TruncatedSeries:
     """q*w*h * L(qw, qh) / L(w, h), the closed-form route to the counts."""
-    ell = l_series(ring, qv, wv, hv)
-    twisted = ell.absorb_into(qv, (wv, hv))
-    return ring.monomial({qv: 1, wv: 1, hv: 1}) * twisted / ell
+    ell = l_series(ring)
+    twisted = ell.absorb_into("q", ("w", "h"))
+    return ring.monomial({"q": 1, "w": 1, "h": 1}) * twisted / ell
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ would blow up.
 
 from __future__ import annotations
 
-from .core import Configuration, SandpileError, config, degree
+from .core import Configuration, SandpileError, degree
 
 GUARD_VERTICES = 20
 

@@ -8,6 +8,14 @@ an m x n grid (green path from the b-part, red path from the a-part), and the
 operators below slide that grid along the doubly periodic continuation of the
 two paths.
 
+One function moves the grid: ``_grid_shift(u, k_a, k_b)`` is east^k_a
+north^k_b, each part rotated by its own exponent (a value that wraps gaining
+the part's degree) and lowered by the other's.  The four one-step shifts, the
+moves toward the parking and recurrent representatives, the scan and the
+parking map all call it.  Parking is east^c north^h, with h the first row of
+the largest gap r_h and c = b_h - r_h + 1, followed by r_h - 1 reverse
+topplings of the sink, which lower every b-value by r_h - 1.
+
 Every row-shaped quantity derives from one row geometry.  Row i has its
 green north step at column b_i + 1 and its red north step at its red column
 c_i, the number of a-values <= i-2; ``red_columns`` computes c_1..c_n from
@@ -198,40 +206,26 @@ def shift_east(u: Configuration) -> Configuration:
     """Move the grid one step east: the sorted form of one reverse toppling of
     the smallest a-vertex.  Cycles the a-part and lowers the whole b-part."""
     _require_compact_sorted(u, "shift_east")
-    n = u.shape.n
-    a = u.a[1:] + (u.a[0] + n,) if u.a else ()
-    b = tuple(v - 1 for v in u.b)
-    return Configuration(u.shape, a, u.sink, b)
+    return _grid_shift(u, 1, 0)
 
 
 def shift_west(u: Configuration) -> Configuration:
     """Inverse of shift_east."""
     _require_compact_sorted(u, "shift_west")
-    n = u.shape.n
-    a = (u.a[-1] - n,) + u.a[:-1] if u.a else ()
-    b = tuple(v + 1 for v in u.b)
-    return Configuration(u.shape, a, u.sink, b)
+    return _grid_shift(u, -1, 0)
 
 
 def shift_north(u: Configuration) -> Configuration:
     """Move the grid one step north: cycles the b-part, lowers the a-part and
     the sink (when present) by one."""
     _require_compact_sorted(u, "shift_north")
-    m = u.shape.m
-    a = tuple(v - 1 for v in u.a)
-    b = u.b[1:] + (u.b[0] + m,)
-    sink = None if u.sink is None else u.sink - 1
-    return Configuration(u.shape, a, sink, b)
+    return _grid_shift(u, 0, 1)
 
 
 def shift_south(u: Configuration) -> Configuration:
     """Inverse of shift_north."""
     _require_compact_sorted(u, "shift_south")
-    m = u.shape.m
-    a = tuple(v + 1 for v in u.a)
-    b = (u.b[-1] - m,) + u.b[:-1]
-    sink = None if u.sink is None else u.sink + 1
-    return Configuration(u.shape, a, sink, b)
+    return _grid_shift(u, 0, -1)
 
 
 def _grid_shift(u: Configuration, k_a: int, k_b: int) -> Configuration:
@@ -240,8 +234,12 @@ def _grid_shift(u: Configuration, k_a: int, k_b: int) -> Configuration:
     wraps past the end gaining the part's degree, and drops by the other."""
 
     def rotate(values, k, degree, drop):
-        size = len(values)
-        return tuple(values[j % size] + degree * (j // size) - drop for j in range(k, k + size))
+        if not values:
+            return values
+        q, k = divmod(k, len(values))
+        low, high = degree * q - drop, degree * (q + 1) - drop
+        wrapped = [v + high for v in islice(values, k)]
+        return tuple([v + low for v in islice(values, k, None)] + wrapped)
 
     m, n = u.shape.m, u.shape.n
     sink = None if u.sink is None else u.sink - k_b
@@ -304,16 +302,15 @@ def park_sort(u: Configuration) -> Configuration:
 
     Accepts the slightly relaxed precondition needed by the greedy step:
     a-values in [0, n), b-values in [-1, m), both parts sorted.  Picks the
-    first row attaining the maximal gap, slides the grid there in one shot via
-    the two closed-form value maps, and restores the sink (when present) from
-    degree conservation.
+    first row attaining the maximal gap, slides the grid there in one shot
+    (``_park``) and restores the sink (when present) from degree
+    conservation.
     """
-    m, n = u.shape.m, u.shape.n
     if not is_sorted(u):
         raise SandpileError("park_sort expects a sorted configuration")
     if not _ends_within(u, -1):
         raise SandpileError("park_sort expects a-values in [0,n) and b-values in [-1,m)")
-    return _park_parts(u.shape, u.a, u.sink, u.b, row_gaps(u.a, u.b, n))
+    return _park(u, row_gaps(u.a, u.b, u.shape.n))
 
 
 def _slide(gaps: list[int], sink: int | None):
@@ -331,27 +328,19 @@ def _slide(gaps: list[int], sink: int | None):
     return gaps, sink, h, top
 
 
-def _park_parts(shape: GraphShape, a, sink: int | None, b, gaps: list[int]) -> Configuration:
-    """Park sorted parts (a-values in [0, n), b-values in [-1, m)) whose row
-    gaps are given.  Row h's b-value b_h drops to 0 and the b-values before it
-    wrap around (+m); the c = b_h - r_h + 1 a-values below h wrap too (+n)
-    and all a-values drop by h."""
-    m, n = shape.m, shape.n
-    _, sink, h, top = _slide(gaps, sink)
-    bh = b[h]
-    c = bh - top + 1
-    a = [v - h for v in islice(a, c, None)] + [v - h + n for v in islice(a, c)]
-    b = [v - bh for v in islice(b, h, None)] + [v - bh + m for v in islice(b, h)]
-    if not (_sorted_below(a, n) and _sorted_below(b, m)):
+def _park(u: Configuration, gaps: list[int]) -> Configuration:
+    """Park a sorted u (a-values in [0, n), b-values in [-1, m)) whose row
+    gaps are given: east^c north^h with c = b_h - r_h + 1, then r_h - 1
+    reverse topplings of the sink, which lower every b-value by r_h - 1 and
+    give the sink the n(r_h - 1) chips that ``_slide`` counts."""
+    sink, h, top = _slide(gaps, u.sink)[1:]  # the parked gaps are not kept
+    drop = top - 1
+    v = _grid_shift(u, u.b[h] - drop, h)
+    v = Configuration(u.shape, v.a, sink, tuple([x - drop for x in v.b]))
+    # a rotation of sorted values in these ranges is sorted, so the ends decide
+    if not _ends_within(v, 0):
         raise RuntimeError("park_sort produced an unsorted or unstable result; this cannot happen")
-    return Configuration(shape, tuple(a), sink, tuple(b))
-
-
-def _sorted_below(values: list[int], bound: int) -> bool:
-    """Sorted with every value in [0, bound)."""
-    return not values or (
-        values[0] >= 0 and values[-1] < bound and all(map(le, values, islice(values, 1, None)))
-    )
+    return v
 
 
 class _Pass(NamedTuple):
@@ -371,7 +360,7 @@ def _park_pass(u: Configuration) -> _Pass:
 
     On histograms the slide is a rotation: by h for the a-part, whose c
     values below h wrap around, and by b_h = r_h - 1 + c for the b-part.  It
-    agrees with the value maps of park_sort, so that the parked parts are
+    agrees with park_sort's grid shift, so that the parked parts are
     sorted and stable, exactly when h b-values lie below b_h and row h holds
     b_h; that is checked here.
     """
@@ -414,7 +403,7 @@ def greedy_step(u: Configuration) -> Configuration:
     north moves of the slide."""
     gaps = _parking_gaps(u, "greedy_step")
     gaps[0] -= 1
-    return _park_parts(u.shape, u.a, u.sink, (u.b[0] - 1,) + u.b[1:], gaps)
+    return _park(Configuration(u.shape, u.a, u.sink, (u.b[0] - 1,) + u.b[1:]), gaps)
 
 
 def greedy_step_rvector(r: RVector) -> RVector:
@@ -497,9 +486,7 @@ def rank_scan(u: Configuration) -> int:
     v = v.with_sink(None)
     rank = -1
     while sink >= 0:
-        while v.b[0] >= 0:
-            v = shift_east(v)
-        v = shift_north(v)
+        v = _grid_shift(v, max(v.b[0] + 1, 0), 1)
         if m == 1 or v.a[m - 2] >= n - 1:
             rank += 1
         sink -= 1

@@ -1,7 +1,9 @@
 """Module boundaries of the package: no module reaches into another's private
 names.  A leading underscore marks a name as its module's own; only ``self``
-and ``cls`` may read private attributes, and dunder names are public.  The
-README names only commands the command line has."""
+and ``cls`` may read private attributes, and dunder names are public.  No
+module imports a name it never reads, apart from ``__init__``'s re-exports
+and the few names listed with their reason.  The README names only commands
+the command line has."""
 
 import ast
 import re
@@ -48,6 +50,48 @@ def test_the_checker_sees_both_forms():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_cross_module_private_names(path):
     assert private_uses(path.read_text(encoding="utf-8")) == []
+
+
+# imported but never read, on purpose: module -> {name: reason}
+UNUSED_IMPORTS_ALLOWED = {
+    "cli.py": {"rank_of": "wrapped by kmnbench"},
+    "genfunc.py": {"rank_parking_sorted": "wrapped by kmnbench"},
+}
+
+
+def unused_imports(source: str) -> list[str]:
+    """Every imported name the module never reads, as "line: name" entries;
+    ``from __future__`` imports are not names."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(node.lineno, a.asname or a.name.partition(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(node.lineno, a.asname or a.name) for a in node.names]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [f"{line}: {name}" for line, name in sorted(imported) if name not in read]
+
+
+def test_the_import_checker_sees_unread_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as j\n"
+        "from .core import config, degree as deg\n"
+        "j.dumps(deg)\n"
+        "config = None\n"
+    )
+    assert unused_imports(source) == ["2: os", "4: config"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_no_unused_imports(path):
+    unused = {entry.split(": ")[1] for entry in unused_imports(path.read_text(encoding="utf-8"))}
+    # an allowed name that is read again should leave the list
+    assert unused == set(UNUSED_IMPORTS_ALLOWED.get(path.name, {}))
 
 
 def test_readme_names_only_existing_subcommands():

@@ -135,6 +135,13 @@ class TestShifts:
         with pytest.raises(SandpileError):
             shift_east(config(2, 3, [0], 0, [0, 0, 9]))
 
+    def test_each_shift_is_one_step_by_definition(self):
+        for u in self.small_compacts():
+            assert shift_east(u) == one_step(u, "a", 1)
+            assert shift_west(u) == one_step(u, "a", -1)
+            assert shift_north(u) == one_step(u, "b", 1)
+            assert shift_south(u) == one_step(u, "b", -1)
+
 
 class TestTowardParking:
     def test_chain_from_figures(self):
@@ -278,6 +285,15 @@ class TestParkSort:
         for u in stable_sorted_partials(4, 3):
             assert is_parking_sorted(park_sort(u))
 
+    @pytest.mark.parametrize("m,n", [(1, 3), (3, 1), (3, 2), (2, 3), (3, 3)])
+    def test_first_b_value_minus_one_against_oracle(self, m, n):
+        # the relaxed precondition of the greedy step: b-values in [-1, m)
+        for u in stable_sorted_partials(m, n):
+            if u.b[0] == 0:
+                for sink in range(-2, 2 * m * n):
+                    low = config(m, n, u.a, sink, (-1,) + u.b[1:])
+                    assert park_sort(low) == sort_config(oracle.park_by_definition(low))
+
 
 class TestRankFormula:
     def test_running_example(self):
@@ -342,6 +358,12 @@ class TestRankAlgorithms:
             smaller[j] -= 1
             remainder = config(7, 5, u.a, u.sink, [x - y for x, y in zip(u.b, smaller)])
             assert is_effective(remainder)
+
+    @pytest.mark.parametrize("m,n", [(63, 1), (1, 63), (32, 32)])
+    def test_scan_at_the_check_bounds(self, m, n):
+        # m + n and degree at the bounds of rank --check
+        u = config(m, n, [0] * (m - 1), 1024, [0] * n)
+        assert rank_scan(u) == rank_of(u)
 
     def test_scan_handles_one_sided_shapes(self):
         for n in (1, 2, 5):
@@ -582,23 +604,11 @@ class TestDecomposeCompact:
     def test_round_trip_exhaustive(self):
         for u in stable_sorted_partials(3, 3):
             full = u.with_sink(4)
-            shift = decompose_compact(full)
-            v = parking_representative(full)
-            for _ in range(abs(shift.k_b)):
-                v = shift_north(v) if shift.k_b > 0 else shift_south(v)
-            for _ in range(abs(shift.k_a)):
-                v = shift_east(v) if shift.k_a > 0 else shift_west(v)
-            assert v == full
+            assert reapplied(full, decompose_compact(full)) == full
 
     def test_phi_chain_intermediate(self):
         u = config(7, 5, [0, 0, 0, 3, 3, 3], 0, [1, 1, 1, 4, 4])
-        shift = decompose_compact(u)
-        v = parking_representative(u)
-        for _ in range(abs(shift.k_b)):
-            v = shift_north(v) if shift.k_b > 0 else shift_south(v)
-        for _ in range(abs(shift.k_a)):
-            v = shift_east(v) if shift.k_a > 0 else shift_west(v)
-        assert v == u
+        assert reapplied(u, decompose_compact(u)) == u
 
     def test_east_shift_increments_east_exponent(self):
         u = config(3, 3, [0, 2], 5, [0, 1, 2])
@@ -647,12 +657,31 @@ class TestDecomposeCompact:
         assert _grid_shift(u, k_a, k_b) == repeated_shifts(u, k_a, k_b)
 
 
+def one_step(v, part, sign):
+    """A one-step grid move from its definition, independent of rank.py: one
+    reverse toppling (sign 1) of the smallest vertex of the part, or one
+    toppling (sign -1) of its largest, then sorted.  On the a-part that is
+    east or west, the sink left alone; on the b-part north or south."""
+    m, n = v.shape.m, v.shape.n
+    a, sink, b = list(v.a), v.sink, list(v.b)
+    end = 0 if sign > 0 else -1
+    if part == "a":
+        if a:
+            a[end] += sign * n
+        b = [x - sign for x in b]
+    else:
+        b[end] += sign * m
+        a = [x - sign for x in a]
+        sink = None if sink is None else sink - sign
+    return config(m, n, sorted(a), sink, sorted(b))
+
+
 def repeated_shifts(v, k_a, k_b):
-    """east^k_a north^k_b of v by one-step shifts."""
+    """east^k_a north^k_b of v by one-step moves."""
     for _ in range(abs(k_b)):
-        v = shift_north(v) if k_b > 0 else shift_south(v)
+        v = one_step(v, "b", 1 if k_b > 0 else -1)
     for _ in range(abs(k_a)):
-        v = shift_east(v) if k_a > 0 else shift_west(v)
+        v = one_step(v, "a", 1 if k_a > 0 else -1)
     return v
 
 
