@@ -458,15 +458,20 @@ class GfReport:
 
 
 def compare_series(lhs: TruncatedSeries, rhs: TruncatedSeries) -> GfReport:
+    """Coefficientwise comparison; a mismatch reports the differing key of
+    lowest total degree, ties broken by the exponent tuple."""
     if lhs.ring != rhs.ring:
         raise SandpileError("compare_series: rings differ")
-    keys = sorted(set(lhs.coeffs) | set(rhs.coeffs), key=lambda k: (sum(k), k))
-    names = lhs.ring.variables
-    for key in keys:
-        lv, rv = lhs.coeffs.get(key, 0), rhs.coeffs.get(key, 0)
-        if lv != rv:
-            return GfReport(False, len(keys), dict(zip(names, key)), lv, rv)
-    return GfReport(True, len(keys))
+    left, right = lhs.coeffs, rhs.coeffs
+    if left == right:
+        return GfReport(True, len(left))
+    keys = left.keys() | right.keys()
+    differing = [key for key in keys if left.get(key, 0) != right.get(key, 0)]
+    if not differing:
+        return GfReport(True, len(keys))
+    key = min(differing, key=lambda k: (sum(k), k))
+    exponents = dict(zip(lhs.ring.variables, key))
+    return GfReport(False, len(keys), exponents, left.get(key, 0), right.get(key, 0))
 
 
 def family_series(mmax: int, nmax: int, ring: SeriesRing) -> TruncatedSeries:

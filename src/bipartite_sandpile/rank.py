@@ -33,41 +33,56 @@ Configuration, check what they require of it (stable, sorted, parking, a
 sink) and hand plain tuples or lists to kernels that trust their input:
 ``red_columns``/``row_gaps``, the parking slide ``_slide`` and the rank
 formula ``rank_from_gaps`` here, ``stable_parts``/``value_counts``/
-``from_counts`` in ``core``.  ``rank_of``,
+``from_counts`` in ``core``.  ``rank_of``, ``is_effective``,
 ``parking_representative`` and ``rank_with_proof`` run stabilize, counting
-sort, park and formula as one pass over these kernels (``_park_pass``), with
-no Configuration built in between and each gap computed once.  The
-algorithm's own "cannot happen" checks, that the parked parts are sorted and
-stable and the parked gaps at most 1, are made once and raise RuntimeError.
+sort, row gaps and slide as one pass over these kernels (``_park_pass``),
+with no Configuration and no sorted part built in between and each gap
+computed once.  The algorithm's own "cannot happen" checks, that the parked
+parts are sorted and stable and the parked gaps at most 1, are made in that
+pass and raise RuntimeError.
 
-Parking carries the row gaps r_1..r_n along instead of rescanning them.  Let
-h be the first row with the largest gap r_h, b_h its b-value and c the number
-of a-values below its red step, so that r_h = b_h + 1 - c.  The slide makes
-row h the first row: every green column drops by b_h and every red column by
-c, so each gap drops by r_h - 1, and rows 1..h-1 move past the last row,
-where their green column gains m and their red column m - 1.  The parked gaps
-are therefore
+Let h be the first row with the largest gap r_h, b_h its b-value and c the
+number of a-values below its red step, so that r_h = b_h + 1 - c.  The
+parking slide makes row h the first row: every green column drops by b_h
+and every red column by c, so each gap drops by r_h - 1, and rows 1..h-1
+move past the last row, where their green column gains m and their red
+column m - 1.  The parked gaps are therefore
 
     r_h - r_h + 1, ..., r_n - r_h + 1,  r_1 - r_h + 2, ..., r_(h-1) - r_h + 2,
 
-all at most 1 because no earlier row reaches r_h.  The parked sink follows
-from degree conservation in O(1), and the rank needs nothing else.
+all at most 1 because no earlier row reaches r_h, and the parked sink
+gains n(r_h - 1) - h by degree conservation.  ``_slide`` finds h and r_h
+and moves the sink; ``_parked_gaps`` lists the parked gaps, which only
+``rank_with_proof`` (to report them) and ``rank_greedy`` (to step them)
+need.
 
-The rank certificate comes from the same pass.  Write sink+1 = nQ+R for the
-parked sink and r_0..r_(n-1) for the parked gaps (0-based rows).  The rank
-is the sum over rows of t_i = max(0, Q + [i < R] + r_i - 1), minus 1.  Let
-sigma be the stable sort permutation of the stabilized b-values (slot ->
-input b-label), rotated left by h; slot i of the rotation is row i of the
-parked configuration, whose b-values are the stable ones lowered by b_h
-mod m.  Then
+The rank is read off the gaps before the slide.  Write sink+1 = nQ+R and
+r_0..r_(n-1) for the row gaps of a stable sorted configuration (0-based
+rows).  Row i contributes t_i = max(0, Q + [i < R] + r_i - 1), and the rank
+is the sum of the t_i minus 1: on parked gaps t_i counts the cells of row i
+that the rank loop visits right of the red path, and the slide keeps every
+summand.  Row i becomes parked row j = (i - h) mod n with gap
+r_i - r_h + 1 + [i < h], and the parked sink s' has s'+1 =
+n(Q + r_h - 1) + R - h.  If R >= h, then s'+1 = nQ'+R' with
+Q' = Q + r_h - 1, R' = R - h, and j < R' exactly when h <= i < R; if
+R < h, then Q' = Q + r_h - 2, R' = R - h + n, and j < R' exactly when
+i >= h or i < R.  Either way Q' + [j < R'] + (r_i - r_h + 1 + [i < h]) - 1
+= Q + [i < R] + r_i - 1.  So the formula needs neither the parked gaps nor
+h: it sums the rows before R and the rows from R on with one filter each.
+When the parked sink is negative every t_i is 0 and the rank is -1.
+
+The rank certificate comes from the same pass.  Let sigma be the stable
+sort permutation of the stabilized b-values (slot -> input b-label), so
+that slot i holds the b-value of row i.  Then
 
     f(b_sigma(i)) = t_i,  f = 0 on the a-part and the sink,
 
 is a proof of the rank: f >= 0, deg f = rank + 1 and u - f is not
 effective.  It is label for label the proof that the greedy loop
-(``rank_greedy``) builds by rank + 1 chip removals and re-parks, and it
-costs one counting sort of the b-values, so ``rank_with_proof`` is O(m+n);
-``verify_rank_proof`` checks a proof with one more parking pass.
+(``rank_greedy``) builds by rank + 1 chip removals and re-parks, where slot
+i is parked row i - h with the same summand.  It costs one counting sort of
+the b-values, so ``rank_with_proof`` is O(m+n); ``verify_rank_proof``
+checks a proof with one more pass.
 """
 
 from __future__ import annotations
@@ -146,10 +161,13 @@ _plus_one = (1).__add__
 
 
 def _gaps_from_counts(a_counts: list[int], b_counts: list[int]) -> list[int]:
-    """row_gaps from the histograms of both parts; the green columns b_i + 1
-    are read off the b-histogram without building the sorted b-part."""
-    green = chain.from_iterable(map(repeat, range(1, len(b_counts) + 1), b_counts))
-    return list(map(sub, green, red_columns(a_counts)))
+    """row_gaps from the histograms of both parts, the sorted b-part never
+    built.  With B(v) the number of b-values <= v, b_i (0-based i) is the
+    number of v < m - 1 with B(v) <= i, so the green columns b_i + 1 are the
+    running sums of the histogram of B(0..m-2), plus 1."""
+    green = value_counts(len(a_counts), accumulate(islice(b_counts, len(b_counts) - 1)))
+    green[0] += 1
+    return list(map(sub, accumulate(green), red_columns(a_counts)))
 
 
 def _ends_within(u: Configuration, b_low: int) -> bool:
@@ -313,19 +331,25 @@ def park_sort(u: Configuration) -> Configuration:
     return _park(u, row_gaps(u.a, u.b, u.shape.n))
 
 
-def _slide(gaps: list[int], sink: int | None):
-    """Kernel of the parking slide on row gaps alone: the parked gaps, the
-    parked sink (None stays None), the first row h (0-based) of the largest
-    gap and that gap.  See the module docstring for the identity."""
+def _slide(gaps, sink: int | None) -> tuple[int, int, int | None]:
+    """Kernel of the parking slide on row gaps alone: the first row h
+    (0-based) of the largest gap, that gap r_h and the parked sink (None
+    stays None).  Checks that the parked gaps are at most 1, that is that no
+    row before h reaches r_h; ``_parked_gaps`` lists them.  See the module
+    docstring for the identity."""
     top = max(gaps)
     h = gaps.index(top)
-    gaps = [x - top + 1 for x in islice(gaps, h, None)] + [x - top + 2 for x in islice(gaps, h)]
-    if max(gaps) > 1:
+    if max(islice(gaps, h), default=top - 1) >= top:
         raise RuntimeError("the parking slide left a row gap above 1; this cannot happen")
     if sink is not None:
         # degree conservation: the slide moves n(r_h - 1) - h chips to the sink
         sink += len(gaps) * (top - 1) - h
-    return gaps, sink, h, top
+    return h, top, sink
+
+
+def _parked_gaps(gaps, h: int, top: int) -> list[int]:
+    """The row gaps after the parking slide that ``_slide`` found."""
+    return [x - top + 1 for x in islice(gaps, h, None)] + [x - top + 2 for x in islice(gaps, h)]
 
 
 def _park(u: Configuration, gaps: list[int]) -> Configuration:
@@ -333,7 +357,7 @@ def _park(u: Configuration, gaps: list[int]) -> Configuration:
     gaps are given: east^c north^h with c = b_h - r_h + 1, then r_h - 1
     reverse topplings of the sink, which lower every b-value by r_h - 1 and
     give the sink the n(r_h - 1) chips that ``_slide`` counts."""
-    sink, h, top = _slide(gaps, u.sink)[1:]  # the parked gaps are not kept
+    h, top, sink = _slide(gaps, u.sink)
     drop = top - 1
     v = _grid_shift(u, u.b[h] - drop, h)
     v = Configuration(u.shape, v.a, sink, tuple([x - drop for x in v.b]))
@@ -348,15 +372,18 @@ class _Pass(NamedTuple):
 
     a_counts: list[int]  # histograms of the stable parts, before the slide
     b_counts: list[int]
-    gaps: list[int]  # parked row gaps
-    sink: int  # parked sink
+    gaps: list[int]  # row gaps of the stable sorted parts, before the slide
+    sink: int  # stable sink, before the slide
+    parked_sink: int
     h: int  # parking row, 0-based: the slide rotates the b-slots by h
+    top: int  # r_h, the largest row gap
     bh: int  # b-value of row h: the slide rotates the b-histogram by bh
 
 
 def _park_pass(u: Configuration) -> _Pass:
-    """Stabilize, counting sort and park a full configuration in one pass,
-    the sorted parts never built.
+    """Stabilize, counting sort and find the parking slide of a full
+    configuration in one pass, the sorted parts and the parked gaps never
+    built.
 
     On histograms the slide is a rotation: by h for the a-part, whose c
     values below h wrap around, and by b_h = r_h - 1 + c for the b-part.  It
@@ -367,17 +394,18 @@ def _park_pass(u: Configuration) -> _Pass:
     m, n = u.shape.m, u.shape.n
     a, sink, b = stable_parts(m, n, u.a, u.require_sink(), u.b)
     a, b = value_counts(n - 1, a), value_counts(m - 1, b)  # frees the stable parts
-    gaps, sink, h, top = _slide(_gaps_from_counts(a, b), sink)
+    gaps = _gaps_from_counts(a, b)
+    h, top, parked_sink = _slide(gaps, sink)
     bh = top - 1 + sum(islice(a, h))
     if not (0 <= bh < m and b[bh] and sum(islice(b, bh)) == h):
         raise RuntimeError("the parked parts are not sorted and stable; this cannot happen")
-    return _Pass(a, b, gaps, sink, h, bh)
+    return _Pass(a, b, gaps, sink, parked_sink, h, top, bh)
 
 
 def _parked_configuration(shape: GraphShape, p: _Pass) -> Configuration:
     a, b, h, bh = p.a_counts, p.b_counts, p.h, p.bh
     a, b = from_counts(a[h:] + a[:h]), from_counts(b[bh:] + b[:bh])
-    return Configuration(shape, tuple(a), p.sink, tuple(b))
+    return Configuration(shape, tuple(a), p.parked_sink, tuple(b))
 
 
 def parking_representative(u: Configuration) -> Configuration:
@@ -389,7 +417,7 @@ def parking_representative(u: Configuration) -> Configuration:
 def is_effective(u: Configuration) -> bool:
     """Whether u is toppling-equivalent to a non-negative configuration:
     exactly when its parking representative's sink is non-negative."""
-    return _park_pass(u).sink >= 0
+    return _park_pass(u).parked_sink >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -422,19 +450,26 @@ def greedy_step_rvector(r: RVector) -> RVector:
 
 
 def rank_from_gaps(gaps, sink: int) -> int:
-    """Rank of the parking sorted configuration with these row gaps and this
-    sink value; no validation.  Writes sink+1 = nQ+R and sums the per-row
-    counts of cells the rank loop visits right of the red path: row i
-    (0-based) contributes max(0, Q + [i < R] + r_i - 1)."""
-    if sink < 0:
-        return -1
-    q, rem = divmod(sink + 1, len(gaps))
-    total = 0
-    for i, r in enumerate(gaps):
-        term = q + r - (i >= rem)
-        if term > 0:
-            total += term
-    return total - 1
+    """Rank of the stable sorted configuration with these row gaps and this
+    sink value; no validation.  Writes sink+1 = nQ+R: row i (0-based)
+    contributes max(0, Q + [i < R] + r_i - 1), and the rank is the sum minus
+    1.  The gaps need not be parked, since the parking slide keeps every
+    row's summand (see the module docstring).  The rows before R and the
+    rows from R on are each summed by one filter; on fewer than 16 rows a
+    plain loop, whose fixed cost is a third of theirs, sums the same terms."""
+    n = len(gaps)
+    q, rem = divmod(sink + 1, n)
+    total = -1
+    if n < 16:
+        for i, r in enumerate(gaps):
+            term = q + r - (i >= rem)
+            if term > 0:
+                total += term
+        return total
+    for rows, off in ((islice(gaps, rem), q), (islice(gaps, rem, None), q - 1)):
+        kept = list(filter((-off).__lt__, rows))  # the rows with a positive summand
+        total += sum(kept) + off * len(kept)
+    return total
 
 
 def rank_parking_sorted(u: Configuration) -> int:
@@ -462,7 +497,8 @@ def rank_greedy(u: Configuration) -> tuple[int, ProofOfRank]:
     removals = [0] * n
     rank = -1
     while True:
-        gaps, sink, rot, _ = _slide(gaps, sink)
+        rot, top, sink = _slide(gaps, sink)
+        gaps = _parked_gaps(gaps, rot, top)
         perm = perm[rot:] + perm[:rot]
         if sink < 0:
             break
@@ -494,15 +530,17 @@ def rank_scan(u: Configuration) -> int:
 
 
 def rank_of(u: Configuration) -> int:
-    """Rank of an arbitrary full configuration in O(m+n): stabilize, sort,
-    park in closed form, then apply the sink/row-gap formula."""
+    """Rank of an arbitrary full configuration in O(m+n): stabilize, count,
+    take the row gaps and apply the sink/row-gap formula to them as they
+    are.  The parking slide is found for its checks alone; no parked
+    configuration or gap is built."""
     p = _park_pass(u)
     return rank_from_gaps(p.gaps, p.sink)
 
 
 def _row_terms(gaps: list[int], sink: int) -> list[int]:
     """The per-row summands of rank_from_gaps, max(0, Q + [i < R] + r_i - 1)
-    with sink+1 = nQ+R; all 0 when sink < 0, because every r_i <= 1."""
+    with sink+1 = nQ+R; all 0 when the configuration is not effective."""
     n = len(gaps)
     q, rem = divmod(sink + 1, n)
     rows = map(add, gaps, chain(repeat(q, rem), repeat(q - 1, n - rem)))
@@ -513,26 +551,26 @@ def rank_with_proof(u: Configuration) -> RankCertificate:
     """Rank, parking representative, row gaps and proof of a full
     configuration from one stabilize/count/slide pass, in O(m+n).
 
-    The proof gives b-vertex j the summand of the parked row that j's value
-    lands in (see the module docstring); it equals rank_greedy's proof.
+    The proof gives b-vertex j the summand of the row that j's value lands
+    in (see the module docstring); it equals rank_greedy's proof.
     """
     m, n = u.shape.m, u.shape.n
     p = _park_pass(u)
     terms = _row_terms(p.gaps, p.sink)
     # stable counting sort of the stable b-values, the residues mod m (not
     # kept by the pass, so that rank_of's peak memory does not grow): slot s
-    # of the sorted part is parked row s - h (mod n)
+    # of the sorted part is row s
     start = list(accumulate(p.b_counts, initial=0))
     proof = []
     for v in u.b:
         v %= m
         s = start[v]
         start[v] = s + 1
-        proof.append(terms[s - p.h])
+        proof.append(terms[s])
     return RankCertificate(
         sum(terms) - 1,
         _parked_configuration(u.shape, p),
-        RVector(tuple(p.gaps), u.shape),
+        RVector(tuple(_parked_gaps(p.gaps, p.h, p.top)), u.shape),
         ProofOfRank(config(m, n, [0] * (m - 1), 0, proof)),
     )
 

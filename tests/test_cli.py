@@ -346,6 +346,15 @@ class TestRankCheckOnRandoms:
         code, out, _ = run(capsys, "rank", "-i", json.dumps(dict(too_high, sink=CHECK_MAX_DEGREE)), "--check")
         assert code == 0 and json.loads(out)["rank"] == CHECK_MAX_DEGREE
 
+    def test_check_at_both_bounds_on_the_costliest_shape(self, capsys):
+        # K_{2,62} with the whole degree on the sink is where a --check call
+        # takes longest at these bounds
+        at_bound = {"m": 2, "n": 62, "a": [0], "sink": CHECK_MAX_DEGREE, "b": [0] * 62}
+        code, out, _ = run(capsys, "rank", "-i", json.dumps(at_bound), "--check")
+        assert code == 0 and json.loads(out)["checked"] is True
+        code, out, err = run(capsys, "rank", "-i", json.dumps(dict(at_bound, sink=CHECK_MAX_DEGREE + 1)), "--check")
+        assert code == 1 and out == "" and "degree <=" in err
+
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),

@@ -326,6 +326,31 @@ class TestBoundarySeries:
             assert pref * acc == sink_series(u, ring)
 
 
+class TestCompareSeries:
+    RING = SeriesRing(("x", "y"), (6, 6))
+
+    def test_equal_series_count_their_keys(self):
+        s = self.RING.from_coeffs({(0, 0): 1, (2, 1): -3, (0, 5): 7})
+        report = compare_series(s, self.RING.from_coeffs(dict(s.coeffs)))
+        assert report.ok and report.entries_checked == 3 and report.mismatch_exponents is None
+
+    def test_mismatch_reports_the_lowest_degree_differing_key(self):
+        common = {(0, 0): 1, (1, 1): 2, (3, 0): 5}
+        # differing keys: (4, 2) and (0, 3) on one side only, (2, 1) with
+        # other values, (1, 2) of the same degree as (2, 1) but lower
+        lhs = self.RING.from_coeffs({**common, (4, 2): 1, (2, 1): 3, (1, 2): 9})
+        rhs = self.RING.from_coeffs({**common, (0, 3): 4, (2, 1): 6, (1, 2): -1})
+        report = compare_series(lhs, rhs)
+        assert not report.ok and report.entries_checked == 7
+        assert (report.mismatch_exponents, report.lhs_value, report.rhs_value) == ({"x": 0, "y": 3}, 0, 4)
+        report = compare_series(lhs, self.RING.from_coeffs({**common, (2, 1): 3, (1, 2): -1}))
+        assert (report.mismatch_exponents, report.lhs_value, report.rhs_value) == ({"x": 1, "y": 2}, 9, -1)
+
+    def test_rings_must_agree(self):
+        with pytest.raises(SandpileError):
+            compare_series(self.RING.one(), SeriesRing(("x", "y"), (6, 5)).one())
+
+
 class TestMainIdentity:
     def test_one_edge_coefficient(self):
         ring = SeriesRing(("x", "y", "w", "h"), (5, 5, 2, 2))

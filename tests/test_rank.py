@@ -5,18 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bipartite_sandpile.cli import CHECK_MAX_DEGREE
 from bipartite_sandpile.core import (
     GraphShape,
     ProofOfRank,
     SandpileError,
     config,
     degree,
+    from_counts,
     is_compact,
     is_stable,
     sort_config,
+    stable_parts,
     stabilize,
+    value_counts,
 )
 from bipartite_sandpile.rank import (
+    _gaps_from_counts,
     _grid_shift,
     canonical_divisor,
     decompose_compact,
@@ -36,13 +41,14 @@ from bipartite_sandpile.rank import (
     rank_parking_sorted,
     rank_scan,
     rank_with_proof,
+    row_gaps,
     shift_east,
     shift_north,
     shift_south,
     shift_west,
     verify_rank_proof,
 )
-from bipartite_sandpile import cylindric, genfunc, oracle
+from bipartite_sandpile import cylindric, genfunc, oracle, rank
 
 from conftest import stable_sorted_partials
 
@@ -362,7 +368,7 @@ class TestRankAlgorithms:
     @pytest.mark.parametrize("m,n", [(63, 1), (1, 63), (32, 32)])
     def test_scan_at_the_check_bounds(self, m, n):
         # m + n and degree at the bounds of rank --check
-        u = config(m, n, [0] * (m - 1), 1024, [0] * n)
+        u = config(m, n, [0] * (m - 1), CHECK_MAX_DEGREE, [0] * n)
         assert rank_scan(u) == rank_of(u)
 
     def test_scan_handles_one_sided_shapes(self):
@@ -471,6 +477,138 @@ class TestFusedPipeline:
             sinks = range(-3, 3 * m * n)
             ranks = [cylindric.rank_via_cylindric(u.with_sink(s)) for s in sinks]
             assert [rank_from_gaps(gaps, s) for s in sinks] == ranks
+
+
+# K_{5,5} with row gaps (1, -1, -1, 3, 1): the largest gap first in row h = 3,
+# and the parked sink is the sink plus 5 (3 - 1) - 3 = sink + 7
+LATE_TOP = config(5, 5, [0, 0, 3, 3], None, [0, 0, 0, 4, 4])
+
+
+class TestRankFromUnparkedGaps:
+    """rank_from_gaps reads the rank off the row gaps of any stable sorted
+    configuration, and rank_of and is_effective never build the parked ones."""
+
+    @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5) for n in range(1, 5)])
+    def test_equals_the_parked_formula(self, m, n):
+        for v in stable_sorted_partials(m, n):
+            gaps = r_vector(v).entries
+            for sink in range(-3, 11):
+                u = v.with_sink(sink)
+                parked = park_sort(u)
+                expected = rank_parking_sorted(parked)
+                assert rank_from_gaps(gaps, sink) == expected
+                assert rank_of(u) == expected
+                assert is_effective(u) == (parked.sink >= 0)
+
+    # the oracle's cost grows fast with m + n and the rank: about 5 minutes
+    # at every m, n <= 4 and 13 s at m + n <= 6, so it runs on m + n <= 5 here
+    @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5) for n in range(1, 5) if m + n <= 5])
+    def test_equals_the_oracle(self, m, n):
+        for v in stable_sorted_partials(m, n):
+            gaps = r_vector(v).entries
+            for sink in range(-3, 11):
+                u = v.with_sink(sink)
+                rank = oracle.rank_by_definition(u, restrict_support=True)
+                assert rank_from_gaps(gaps, sink) == rank_of(u) == rank
+                assert is_effective(u) == (oracle.park_by_definition(u).sink >= 0)
+
+    @pytest.mark.parametrize(
+        "sink,rank",
+        [
+            (-8, -1),  # the parked sink is -1
+            (-7, 0),  # a negative sink of rank 0: the parked sink is 0
+            (-5, 0),
+            (0, 2),  # R = 1 < h: the parked rows below R wrap past row n
+            (1, 2),  # R = 2 < h
+            (2, 2),  # R = h
+            (3, 3),  # R = 4 > h
+            (4, 4),  # R = 0: no row before R
+        ],
+    )
+    def test_each_run_of_rows(self, sink, rank):
+        # ranks from oracle.rank_by_definition
+        u = LATE_TOP.with_sink(sink)
+        assert rank_from_gaps(r_vector(LATE_TOP).entries, sink) == rank
+        assert rank_of(u) == rank_parking_sorted(park_sort(u)) == rank_scan(u) == rank
+        assert is_effective(u) == (rank >= 0)
+
+    def test_parked_input_one_sided_shapes(self):
+        # h = 0 on a parking input; m = 1 has every gap 1, n = 1 has R = 0
+        assert rank_from_gaps(r_vector(RUN75).entries, 21) == 12
+        for n in (1, 2, 5):
+            for sink in (-2, -1, 0, 3, 2 * n + 1):
+                expected = max(sink, -1)  # K_{1,n} is a tree: the rank is the degree, if >= 0
+                assert rank_from_gaps([1] * n, sink) == rank_of(config(1, n, [], sink, [0] * n)) == expected
+        for m in (1, 2, 5):
+            for b in range(m):
+                v = config(m, 1, [0] * (m - 1), None, [b])
+                for sink in (-b - 2, -b - 1, 0, 7):
+                    u = v.with_sink(sink)
+                    expected = max(sink + b, -1)  # K_{m,1} is a tree too
+                    assert rank_from_gaps(r_vector(v).entries, sink) == rank_of(u) == expected
+                    assert rank_scan(u) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-40, 40), min_size=1, max_size=40), WIDE_INTS)
+    def test_loop_and_filters_sum_the_same_terms(self, gaps, sink):
+        # rank_from_gaps loops over fewer than 16 rows and filters from 16 on
+        q, rem = divmod(sink + 1, len(gaps))
+        terms = [max(0, q + (i < rem) + r - 1) for i, r in enumerate(gaps)]
+        assert rank_from_gaps(gaps, sink) == sum(terms) - 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(14, 30), st.integers(0, 2**32))
+    def test_wide_shapes_against_the_reference_routes(self, m, n, seed):
+        rng = random.Random(seed)
+        u = config(
+            m,
+            n,
+            [rng.randint(-2 * n, 3 * n) for _ in range(m - 1)],
+            rng.randint(-4 * n, 3 * m * n),
+            [rng.randint(-2 * m, 3 * m) for _ in range(n)],
+        )
+        expected = rank_scan(u)
+        assert rank_of(u) == rank_parking_sorted(park_sort(sort_config(stabilize(u)))) == expected
+        assert is_effective(u) == (expected >= 0)
+
+    def test_both_cannot_happen_checks_run(self, monkeypatch):
+        u = RUN75.with_sink(21)
+        gaps_from_counts = rank._gaps_from_counts
+
+        class LastIndex(list):
+            """A gap list whose index finds the last occurrence."""
+
+            def index(self, value):
+                return len(self) - 1 - self[::-1].index(value)
+
+        monkeypatch.setattr(rank, "_gaps_from_counts", lambda a, b: LastIndex(gaps_from_counts(a, b)))
+        for route in (rank_of, is_effective):
+            with pytest.raises(RuntimeError, match="row gap above 1"):
+                route(u)
+        monkeypatch.setattr(rank, "_gaps_from_counts", lambda a, b: [g + 1 for g in gaps_from_counts(a, b)])
+        for route in (rank_of, is_effective):
+            with pytest.raises(RuntimeError, match="not sorted and stable"):
+                route(u)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda m: st.integers(1, 7).flatmap(
+                lambda n: st.tuples(
+                    st.just(m),
+                    st.just(n),
+                    st.lists(WIDE_INTS, min_size=m - 1, max_size=m - 1),
+                    WIDE_INTS,
+                    st.lists(WIDE_INTS, min_size=n, max_size=n),
+                )
+            )
+        )
+    )
+    def test_gaps_from_counts_equals_row_gaps(self, parts):
+        m, n, a, sink, b = parts
+        a, _, b = stable_parts(m, n, a, sink, b)
+        a_counts, b_counts = value_counts(n - 1, a), value_counts(m - 1, b)
+        assert _gaps_from_counts(a_counts, b_counts) == row_gaps(from_counts(a_counts), from_counts(b_counts), n)
 
 
 def _small_grid(m: int, n: int):
