@@ -229,6 +229,14 @@ def sort_config(u: Configuration) -> Configuration:
 # Kernels behind stabilize and the counting sort: plain sequences in, lists
 # out, no validation.  The public functions above check their input and call
 # these; rank.rank_of chains them without building a Configuration.
+# stable_counts reduces and counts _CHUNK values at a time, so that it holds
+# one chunk of residues, never a whole stable part.  A chunk of 2**15
+# residues takes about 1 MB however long the parts are, and the fixed cost of
+# a chunk (a list, an islice, a sum) is spread over enough values to vanish;
+# every input of kmnbench's rank_cli workload and of its small ladder probes
+# (m + n <= 1.6e4) fits in one chunk.
+
+_CHUNK = 2**15
 
 
 def stable_parts(m: int, n: int, a, sink: int, b) -> tuple[list[int], int, list[int]]:
@@ -243,6 +251,29 @@ def stable_parts(m: int, n: int, a, sink: int, b) -> tuple[list[int], int, list[
     quot_total = (sum_b - sum_rb) // m
     ra = [(v + quot_total) % n for v in a]
     return ra, sink + sum(a) - sum(ra) + sum_b - sum_rb, rb
+
+
+def stable_counts(m: int, n: int, a, sink: int, b) -> tuple[list[int], int, list[int]]:
+    """(value_counts(n - 1, a'), sink', value_counts(m - 1, b')) for the
+    stable parts a', b' and sink' that stable_parts returns, without building
+    a' or b': the same Euclidean division, each chunk of residues counted and
+    summed as soon as it is reduced."""
+    b_counts, sum_rb, values = [0] * m, 0, iter(b)
+    while chunk := [v % m for v in islice(values, _CHUNK)]:
+        sum_rb += _count_into(b_counts, chunk)
+    sum_b = sum(b)
+    quot_total = (sum_b - sum_rb) // m
+    a_counts, sum_ra, values = [0] * n, 0, iter(a)
+    while chunk := [(v + quot_total) % n for v in islice(values, _CHUNK)]:
+        sum_ra += _count_into(a_counts, chunk)
+    return a_counts, sink + sum(a) - sum_ra + sum_b - sum_rb, b_counts
+
+
+def _count_into(counts: list[int], values: list[int]) -> int:
+    """Add the values to the histogram counts; return their sum."""
+    for v in values:
+        counts[v] += 1
+    return sum(values)
 
 
 def value_counts(bound: int, values) -> list[int]:

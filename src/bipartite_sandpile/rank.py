@@ -32,12 +32,15 @@ Validation happens once, at the public boundary.  The public functions take a
 Configuration, check what they require of it (stable, sorted, parking, a
 sink) and hand plain tuples or lists to kernels that trust their input:
 ``red_columns``/``row_gaps``, the parking slide ``_slide`` and the rank
-formula ``rank_from_gaps`` here, ``stable_parts``/``value_counts``/
-``from_counts`` in ``core``.  ``rank_of``, ``is_effective``,
-``parking_representative`` and ``rank_with_proof`` run stabilize, counting
-sort, row gaps and slide as one pass over these kernels (``_park_pass``),
-with no Configuration and no sorted part built in between and each gap
-computed once.  The algorithm's own "cannot happen" checks, that the parked
+formula ``rank_from_gaps`` here, ``stable_counts``/``stable_parts``/
+``value_counts``/``from_counts`` in ``core``.  ``rank_of``,
+``is_effective``, ``verify_rank_proof``, ``parking_representative`` and
+``rank_with_proof`` run stabilize, counting sort, row gaps and slide as one
+pass over these kernels (``_park_pass``).  ``stable_counts`` stabilizes
+and counts each part a chunk at a time, so no stable part is ever held
+whole; no Configuration or sorted part is built in between, and each gap is
+computed once.  ``stable_parts``, which keeps the stable value of every
+vertex, serves ``stabilize`` and ``rank_greedy``.  The algorithm's own "cannot happen" checks, that the parked
 parts are sorted and stable and the parked gaps at most 1, are made in that
 pass and raise RuntimeError.
 
@@ -101,6 +104,7 @@ from .core import (
     from_counts,
     is_compact,
     is_sorted,
+    stable_counts,
     stable_parts,
     value_counts,
 )
@@ -382,8 +386,9 @@ class _Pass(NamedTuple):
 
 def _park_pass(u: Configuration) -> _Pass:
     """Stabilize, counting sort and find the parking slide of a full
-    configuration in one pass, the sorted parts and the parked gaps never
-    built.
+    configuration in one pass, the stable parts, the sorted parts and the
+    parked gaps never built: ``stable_counts`` hands over the two
+    histograms, and the row gaps are read off them.
 
     On histograms the slide is a rotation: by h for the a-part, whose c
     values below h wrap around, and by b_h = r_h - 1 + c for the b-part.  It
@@ -392,8 +397,7 @@ def _park_pass(u: Configuration) -> _Pass:
     b_h; that is checked here.
     """
     m, n = u.shape.m, u.shape.n
-    a, sink, b = stable_parts(m, n, u.a, u.require_sink(), u.b)
-    a, b = value_counts(n - 1, a), value_counts(m - 1, b)  # frees the stable parts
+    a, sink, b = stable_counts(m, n, u.a, u.require_sink(), u.b)
     gaps = _gaps_from_counts(a, b)
     h, top, parked_sink = _slide(gaps, sink)
     bh = top - 1 + sum(islice(a, h))

@@ -1,8 +1,26 @@
 import re
 from itertools import combinations_with_replacement
 
+from hypothesis import strategies as st
+
 from bipartite_sandpile.cli import build_parser
 from bipartite_sandpile.core import Configuration, GraphShape
+
+
+# values far outside the stable range, beyond 2^63 included
+WIDE_INTS = st.integers(-40, 40) | st.integers(-(2**70), 2**70)
+# (m, n, a, sink, b) for config(), 1 <= m, n <= 7, every value from WIDE_INTS
+WIDE_PARTS = st.integers(1, 7).flatmap(
+    lambda m: st.integers(1, 7).flatmap(
+        lambda n: st.tuples(
+            st.just(m),
+            st.just(n),
+            st.lists(WIDE_INTS, min_size=m - 1, max_size=m - 1),
+            WIDE_INTS,
+            st.lists(WIDE_INTS, min_size=n, max_size=n),
+        )
+    )
+)
 
 
 def cli_subcommands() -> list[str]:

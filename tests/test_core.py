@@ -1,7 +1,11 @@
+import random
+import tracemalloc
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bipartite_sandpile import core, rank
 from bipartite_sandpile.core import (
     GraphShape,
     SandpileError,
@@ -16,14 +20,28 @@ from bipartite_sandpile.core import (
     loads,
     sort_config,
     stabilize,
+    stable_counts,
+    stable_parts,
     to_json_dict,
     topple,
     topple_set,
+    value_counts,
 )
 from bipartite_sandpile.oracle import park_by_definition, toppling_equivalent
-from bipartite_sandpile.rank import canonical_divisor, is_effective, parking_representative
+from bipartite_sandpile.rank import (
+    canonical_divisor,
+    is_effective,
+    park_sort,
+    parking_representative,
+    r_vector,
+    rank_greedy,
+    rank_of,
+    rank_parking_sorted,
+    rank_with_proof,
+    row_gaps,
+)
 
-from conftest import exhaustive_suite
+from conftest import WIDE_PARTS, exhaustive_suite, stable_sorted_partials
 
 
 def all_vertices(m, n):
@@ -136,6 +154,75 @@ class TestStabilize:
             assert is_stable(v)
             assert degree(v) == degree(u)
             assert toppling_equivalent(u, v)
+
+
+def counts_of_stable_parts(m, n, a, sink, b):
+    """What stable_counts returns, by way of the whole stable parts."""
+    ra, sink, rb = stable_parts(m, n, a, sink, b)
+    return value_counts(n - 1, ra), sink, value_counts(m - 1, rb)
+
+
+class TestStableCounts:
+    @settings(max_examples=300, deadline=None)
+    @given(WIDE_PARTS)
+    # one-sided shapes: the a-part is empty when m = 1
+    @example((1, 1, [], 2**70, [-(2**70)]))
+    @example((1, 6, [], -1, [7, -(2**69), 0, 2**70, -5, 1]))
+    @example((6, 1, [2**70 + 3, -5, 0, 6, -(2**70)], 0, [-7]))
+    def test_equals_the_counts_of_the_stable_parts(self, parts):
+        assert stable_counts(*parts) == counts_of_stable_parts(*parts)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, core._CHUNK])
+    def test_parts_around_the_chunk_length(self, offset):
+        length = core._CHUNK + offset
+        rng = random.Random(length)
+        for m, n in ((length + 1, 9), (9, length)):
+            a = [rng.randrange(-(2**66), 2**66) for _ in range(m - 1)]
+            b = [rng.randrange(-3 * m, 4 * m) for _ in range(n)]
+            assert stable_counts(m, n, a, 5, b) == counts_of_stable_parts(m, n, a, 5, b)
+
+    def test_holds_a_chunk_not_the_stable_parts(self):
+        # both routes measured here, so the bound does not depend on the platform
+        m = n = 2**17
+        rng = random.Random(17)
+        a = tuple(rng.randrange(-2 * n, 3 * n) for _ in range(m - 1))
+        b = tuple(rng.randrange(-2 * m, 3 * m) for _ in range(n))
+        peaks = []
+        tracemalloc.start()
+        try:
+            for route in (stable_counts, counts_of_stable_parts):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                route(m, n, a, 0, b)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        assert peaks[0] < peaks[1] / 2, peaks
+
+    @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5) for n in range(1, 5)])
+    def test_park_pass_matches_the_validating_layers(self, m, n):
+        """Every field of the pass and every result read off it, against the
+        public layers one after the other, on each stable sorted
+        configuration and on a toppled, unstable copy of it."""
+        for v in stable_sorted_partials(m, n):
+            for sink in range(-3, 11):
+                u = v.with_sink(sink)
+                for w in (u, topple(topple(u, "b1"), f"a{m}")):
+                    stable = sort_config(stabilize(w))
+                    parked = park_sort(stable)
+                    gaps = row_gaps(stable.a, stable.b, n)
+                    p = rank._park_pass(w)
+                    assert p.a_counts == value_counts(n - 1, stable.a)
+                    assert p.b_counts == value_counts(m - 1, stable.b)
+                    assert (p.gaps, p.sink, p.parked_sink) == (gaps, stable.sink, parked.sink)
+                    assert (p.top, p.h) == (max(gaps), gaps.index(max(gaps)))
+                    assert p.bh == stable.b[p.h]
+                    expected = rank_parking_sorted(parked)
+                    assert rank_of(w) == expected
+                    assert is_effective(w) == (parked.sink >= 0)
+                    cert = rank_with_proof(w)
+                    assert (cert.rank, cert.parking, cert.gaps) == (expected, parked, r_vector(parked))
+                    assert cert.proof == rank_greedy(w)[1]
 
 
 class TestCountingSort:

@@ -50,7 +50,7 @@ from bipartite_sandpile.rank import (
 )
 from bipartite_sandpile import cylindric, genfunc, oracle, rank
 
-from conftest import stable_sorted_partials
+from conftest import WIDE_INTS, WIDE_PARTS, stable_sorted_partials
 
 RUN75 = config(7, 5, [0, 0, 0, 3, 3, 3], None, [0, 0, 0, 3, 3])
 
@@ -427,25 +427,10 @@ class TestRankAlgorithms:
             assert rank_of(v) == rank_of(u)
 
 
-# values far outside the stable range, beyond 2^63 included
-WIDE_INTS = st.integers(-40, 40) | st.integers(-(2**70), 2**70)
-
 
 class TestFusedPipeline:
     @settings(max_examples=300, deadline=None)
-    @given(
-        st.integers(1, 7).flatmap(
-            lambda m: st.integers(1, 7).flatmap(
-                lambda n: st.tuples(
-                    st.just(m),
-                    st.just(n),
-                    st.lists(WIDE_INTS, min_size=m - 1, max_size=m - 1),
-                    WIDE_INTS,
-                    st.lists(WIDE_INTS, min_size=n, max_size=n),
-                )
-            )
-        )
-    )
+    @given(WIDE_PARTS)
     def test_equals_composition_of_validating_layers(self, parts):
         u = config(*parts)
         parked = park_sort(sort_config(stabilize(u)))
@@ -591,19 +576,7 @@ class TestRankFromUnparkedGaps:
                 route(u)
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        st.integers(1, 7).flatmap(
-            lambda m: st.integers(1, 7).flatmap(
-                lambda n: st.tuples(
-                    st.just(m),
-                    st.just(n),
-                    st.lists(WIDE_INTS, min_size=m - 1, max_size=m - 1),
-                    WIDE_INTS,
-                    st.lists(WIDE_INTS, min_size=n, max_size=n),
-                )
-            )
-        )
-    )
+    @given(WIDE_PARTS)
     def test_gaps_from_counts_equals_row_gaps(self, parts):
         m, n, a, sink, b = parts
         a, _, b = stable_parts(m, n, a, sink, b)
@@ -638,19 +611,7 @@ class TestRankCertificate:
             assert verify_rank_proof(u, cert.rank, cert.proof)
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        st.integers(1, 7).flatmap(
-            lambda m: st.integers(1, 7).flatmap(
-                lambda n: st.tuples(
-                    st.just(m),
-                    st.just(n),
-                    st.lists(WIDE_INTS, min_size=m - 1, max_size=m - 1),
-                    WIDE_INTS,
-                    st.lists(WIDE_INTS, min_size=n, max_size=n),
-                )
-            )
-        )
-    )
+    @given(WIDE_PARTS)
     def test_one_pass_gives_every_output(self, parts):
         u = config(*parts)
         cert = rank_with_proof(u)
