@@ -40,9 +40,9 @@ pass over these kernels (``_park_pass``).  ``stable_counts`` stabilizes
 and counts each part a chunk at a time, so no stable part is ever held
 whole; no Configuration or sorted part is built in between, and each gap is
 computed once.  ``stable_parts``, which keeps the stable value of every
-vertex, serves ``stabilize`` and ``rank_greedy``.  The algorithm's own "cannot happen" checks, that the parked
-parts are sorted and stable and the parked gaps at most 1, are made in that
-pass and raise RuntimeError.
+vertex, serves ``stabilize`` and ``rank_greedy``.  The algorithm's own
+"cannot happen" checks, that the parked parts are sorted and stable and the
+parked gaps at most 1, are made in that pass and raise RuntimeError.
 
 Let h be the first row with the largest gap r_h, b_h its b-value and c the
 number of a-values below its red step, so that r_h = b_h + 1 - c.  The

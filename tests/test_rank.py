@@ -427,7 +427,6 @@ class TestRankAlgorithms:
             assert rank_of(v) == rank_of(u)
 
 
-
 class TestFusedPipeline:
     @settings(max_examples=300, deadline=None)
     @given(WIDE_PARTS)
