@@ -125,23 +125,13 @@ def topple(u: Configuration, vertex: str) -> Configuration:
     """One toppling of ``vertex``: it loses its degree, every neighbour gains 1.
 
     Toppling changes the sink value (every a-vertex is a neighbour of each
-    b-vertex), hence the sink must be present.
+    b-vertex), hence the sink must be present.  A non-sink vertex topples as
+    the one-vertex set of ``topple_set``; the sink is not allowed there.
     """
-    m, n = u.shape.m, u.shape.n
     sink = u.require_sink()
-    part, i = parse_vertex(u.shape, vertex)
-    if part == "a":
-        a = list(u.a)
-        if i == m - 1:
-            sink -= n
-        else:
-            a[i] -= n
-        b = [v + 1 for v in u.b]
-        return Configuration(u.shape, tuple(a), sink, tuple(b))
-    b = list(u.b)
-    b[i] -= m
-    a = [v + 1 for v in u.a]
-    return Configuration(u.shape, tuple(a), sink + 1, tuple(b))
+    if parse_vertex(u.shape, vertex) != ("a", u.shape.m - 1):
+        return topple_set(u, {vertex})
+    return Configuration(u.shape, u.a, sink - u.shape.n, tuple(v + 1 for v in u.b))
 
 
 def topple_set(u: Configuration, vertices: set[str] | frozenset[str]) -> Configuration:

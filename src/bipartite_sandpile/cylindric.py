@@ -5,14 +5,16 @@ unit; rolling the periodic diagram into an n-row strip puts the cell labelled
 s at column u_{b_{t+1}} + q, row t, where s = qn + t by floor division.  The
 red path cuts the strip into a left and a right component; the rank counts
 visited right cells, and the pair of statistics below refines that count.
+Each public function checks once that its input is parking sorted and reads
+the sides, the boundary sinks and the statistics off the row gaps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Configuration, SandpileError, degree
-from .rank import is_parking_sorted, rank_parking_sorted, row_gaps
+from .core import Configuration, GraphShape, SandpileError, degree
+from .rank import is_parking_sorted, rank_from_gaps, rank_parking_sorted, row_gaps
 from .series import SeriesRing, TruncatedSeries
 
 
@@ -36,18 +38,19 @@ class BoundarySets:
     s_minus: tuple[int, ...]
 
 
-def _require_parking(u: Configuration, who: str) -> None:
+def _parking_gaps(u: Configuration, who: str) -> list[int]:
+    """The row gaps of u, after checking that u is parking sorted."""
     if not is_parking_sorted(u):
         raise SandpileError(f"{who} expects a parking sorted configuration")
+    return row_gaps(u.a, u.b, u.shape.n)
 
 
 def label_cells(u: Configuration, labels) -> list[CylCell]:
     """The cells carrying these labels, each with its side of the red cut:
     label s = qn + t sits in row t at column b_t + q, which is right of the
     red cut exactly when q >= 1 - r_t for the row gap r_t."""
-    _require_parking(u, "label_cells")
+    gaps = _parking_gaps(u, "label_cells")
     b, n = u.b, u.shape.n
-    gaps = row_gaps(u.a, b, n)
     cells = []
     for s in labels:
         q, t = divmod(s, n)
@@ -69,8 +72,11 @@ def rank_via_cylindric(u: Configuration) -> int:
 def xpara(u: Configuration) -> int:
     """Unvisited left cells; equals (m-1)(n-1) + rank - degree.  u must be
     full and parking sorted; rank_parking_sorted checks both."""
-    m, n = u.shape.m, u.shape.n
-    return (m - 1) * (n - 1) + rank_parking_sorted(u) - degree(u)
+    return _xpara(u.shape, rank_parking_sorted(u), degree(u))
+
+
+def _xpara(shape: GraphShape, rank: int, deg: int) -> int:
+    return (shape.m - 1) * (shape.n - 1) + rank - deg
 
 
 def ypara(u: Configuration) -> int:
@@ -80,8 +86,10 @@ def ypara(u: Configuration) -> int:
 
 
 def xpara_by_counting(u: Configuration) -> int:
-    """xpara straight from the cells: the left labels above the sink, all
-    below (m-1)n since left cells have q <= m-2 (see boundary_sets)."""
+    """xpara straight from the cells: the left labels above the sink.  They
+    all lie below (m-1)n: label qn + t is left exactly when q < 1 - r_t, and
+    r_t = b_t + 1 - c_t >= 2 - m since b_t >= 0 and the red column
+    c_t <= m-1, so a left cell has q <= m-2."""
     unvisited = label_cells(u, range(u.require_sink() + 1, (u.shape.m - 1) * u.shape.n))
     return sum(cell.side == "left" for cell in unvisited)
 
@@ -92,35 +100,26 @@ def ypara_by_counting(u: Configuration) -> int:
 
 
 def boundary_sets(u: Configuration) -> BoundarySets:
-    """Scan labels over [-1, nm+n] collecting the side switches.
+    """The side switches along the label line, read off the row gaps.
 
-    The window suffices: right cells never carry negative labels (parking
-    keeps every gap <= 1) and left cells have q <= m-2; both facts are checked
-    on the fly while scanning.
+    Label qn + t is right of the red cut exactly when q >= d_t = 1 - r_t.
+    The label after qn + t is qn + t + 1 in row t + 1, or, after row n-1,
+    (q+1)n in row 0, which is right when q >= d_0 - 1; so with d_n read as
+    d_0 - 1, label qn + t switches left to right when d_(t+1) <= q < d_t
+    and right to left when d_t <= q < d_(t+1).  Parking keeps every gap <= 1,
+    so d_t >= 0 = d_0 and no right cell carries a negative label; the lowest
+    switch is -1, left of the right label 0.
     """
-    _require_parking(u, "boundary_sets")
-    m, n = u.shape.m, u.shape.n
-    gaps = row_gaps(u.a, u.b, n)
-    lo, hi = -1, n * m + n
+    return _switches(_parking_gaps(u, "boundary_sets"))
 
-    def side_right(s: int) -> bool:
-        q, t = divmod(s, n)
-        right = q + gaps[t] >= 1
-        if right and s < 0:
-            raise RuntimeError("right cell with negative label; window bound violated")
-        if not right and q > m - 2:
-            raise RuntimeError("left cell beyond the window; window bound violated")
-        return right
 
-    s_plus, s_minus = [], []
-    prev = side_right(lo)
-    for s in range(lo + 1, hi + 1):
-        cur = side_right(s)
-        if cur and not prev:
-            s_plus.append(s - 1)
-        elif prev and not cur:
-            s_minus.append(s - 1)
-        prev = cur
+def _switches(gaps: list[int]) -> BoundarySets:
+    """boundary_sets from the row gaps; no validation."""
+    n = len(gaps)
+    d = [1 - r for r in gaps]
+    d.append(d[0] - 1)
+    s_plus = sorted(q * n + t for t in range(n) for q in range(d[t + 1], d[t]))
+    s_minus = sorted(q * n + t for t in range(n) for q in range(d[t], d[t + 1]))
     return BoundarySets(tuple(s_plus), tuple(s_minus))
 
 
@@ -130,15 +129,22 @@ def sink_series(u: Configuration, ring: SeriesRing) -> TruncatedSeries:
 
     Uses the closed form: the boundary sinks contribute an alternating sum of
     monomials, and the geometric runs between them are restored by the factor
-    (1-xy)/((1-x)(1-y)).
+    (1-xy)/((1-x)(1-y)).  Both statistics of each boundary sink come from
+    the row gaps through the rank formula.
     """
-    _require_parking(u, "sink_series")
-    bnd = boundary_sets(u.with_sink(None))
+    gaps = _parking_gaps(u, "sink_series")
+    chips = sum(u.a) + sum(u.b)
+
+    def monomial(sink: int) -> TruncatedSeries:
+        rank = rank_from_gaps(gaps, sink)
+        return ring.monomial({"x": _xpara(u.shape, rank, chips + sink), "y": rank + 1})
+
+    bnd = _switches(gaps)
     acc = ring.zero()
     for s in bnd.s_plus:
-        acc = acc + _stat_monomial(u, s, ring)
+        acc = acc + monomial(s)
     for s in bnd.s_minus:
-        acc = acc - _stat_monomial(u, s, ring)
+        acc = acc - monomial(s)
     return axes_prefactor(ring) * acc
 
 
@@ -166,11 +172,6 @@ def sink_series_direct(u: Configuration, ring: SeriesRing) -> TruncatedSeries:
             acc = acc + ring.monomial({"x": xp, "y": yp})
         s += 1
     return acc
-
-
-def _stat_monomial(u: Configuration, sink: int, ring: SeriesRing) -> TruncatedSeries:
-    v = u.with_sink(sink)
-    return ring.monomial({"x": xpara(v), "y": ypara(v)})
 
 
 def axes_prefactor(ring: SeriesRing) -> TruncatedSeries:

@@ -90,6 +90,21 @@ class TestToppling:
         with pytest.raises(SandpileError):
             topple(config(2, 2, [0], 0, [0, 0]), "b3")
 
+    def test_each_vertex_against_the_definition(self):
+        # on K_{3,4}, sink a3 included: the vertex loses its degree (n for an
+        # a-vertex, m for a b-vertex) and each vertex of the other part gains 1
+        m, n = 3, 4
+        u = config(m, n, [2, -1], 5, [0, 7, 1, -3])
+        values = dict(zip(all_vertices(m, n), (*u.a, u.sink, *u.b)))
+        for vertex in all_vertices(m, n):
+            expected = dict(values)
+            expected[vertex] -= n if vertex[0] == "a" else m
+            for other in expected:
+                if other[0] != vertex[0]:
+                    expected[other] += 1
+            v = topple(u, vertex)
+            assert dict(zip(all_vertices(m, n), (*v.a, v.sink, *v.b))) == expected
+
 
 class TestToppleSet:
     def test_empty_set(self):

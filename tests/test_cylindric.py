@@ -2,9 +2,11 @@ import pytest
 
 from bipartite_sandpile.core import GraphShape, SandpileError, config
 from bipartite_sandpile.cylindric import (
+    BoundarySets,
     axes_prefactor,
     boundary_sets,
     label_cell,
+    label_cells,
     rank_via_cylindric,
     sink_series,
     sink_series_direct,
@@ -129,6 +131,21 @@ class TestBoundarySets:
     def test_non_parking_rejected(self):
         with pytest.raises(SandpileError):
             boundary_sets(config(2, 3, [1], None, [0, 1, 1]))
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_closed_form_equals_a_label_scan(self, m, n):
+        # every side switch of consecutive labels over [-1, nm+n], the window
+        # outside which no label switches sides
+        for u in enumerate_parking_sorted(GraphShape(m, n)).configs:
+            for v in (u, u.with_sink(n * m // 2)):
+                cells = label_cells(v, range(-1, n * m + n + 1))
+                right = {cell.s: cell.side == "right" for cell in cells}
+                switches = [(s, right[s + 1]) for s in range(-1, n * m + n) if right[s] != right[s + 1]]
+                assert boundary_sets(v) == BoundarySets(
+                    tuple(s for s, to_right in switches if to_right),
+                    tuple(s for s, to_right in switches if not to_right),
+                )
 
 
 class TestSinkSeries:
