@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from itertools import combinations_with_replacement
 
 from .core import Configuration, GraphShape, SandpileError
-from .cylindric import axes_prefactor, boundary_sets, xpara, ypara
+from .cylindric import boundary_sets, xpara, ypara
 # rank_parking_sorted is not called here: kmnbench/gfcheck.py's traced run wraps it
 from .rank import rank_parking_sorted, row_gaps
 from .series import SeriesRing, TruncatedSeries
@@ -477,11 +477,14 @@ def compare_series(lhs: TruncatedSeries, rhs: TruncatedSeries) -> GfReport:
 def family_series(mmax: int, nmax: int, ring: SeriesRing) -> TruncatedSeries:
     """Sum over shapes of the xpara/ypara table times w^m h^n (the left-hand
     side of the main identity, exact for all w,h exponents within caps): one
-    row transfer per (m, Q) over nmax rows gives every n <= nmax."""
-    if mmax < 1 or nmax < 1:
-        return ring.zero()
+    row transfer per (m, Q) over nmax rows gives every n <= nmax.  Shapes
+    past the w or h cap are not counted, and the transfer keeps only the
+    non-zero counts within the x/y caps, so the series is built directly."""
     ix, iy, iw, ih = (ring.index(v) for v in ("x", "y", "w", "h"))
     cap_x, cap_y = ring.caps[ix], ring.caps[iy]
+    mmax, nmax = min(mmax, ring.caps[iw]), min(nmax, ring.caps[ih])
+    if mmax < 1 or nmax < 1:
+        return ring.zero()
     tables = _parking_counts("family_series", range(1, mmax + 1), range(1, nmax + 1),
                              (-cap_x, cap_y), cap_x, cap_y)
     out: dict[tuple[int, ...], int] = {}
@@ -490,19 +493,88 @@ def family_series(mmax: int, nmax: int, ring: SeriesRing) -> TruncatedSeries:
             key = [0] * len(ring.variables)
             key[ix], key[iy], key[iw], key[ih] = xp, yp, m, n
             out[tuple(key)] = c
-    return ring.from_coeffs(out)
+    return TruncatedSeries(ring, out)
 
 
 def gf_closed_form(ring: SeriesRing) -> TruncatedSeries:
-    """(1-xy)(hw - P(x)P(y)) / ((1-x)(1-y)(1-h-w-P(x)-P(y))), computed as
-    (hw - P(x)P(y)) / (1-h-w-P(x)-P(y)) times ``axes_prefactor``: the one
-    division sweep runs over the polyomino factor alone."""
-    one = ring.one()
-    hw = ring.monomial({"h": 1, "w": 1})
-    px = polyomino_series(PolyominoWeights("x"), ring)
-    py = polyomino_series(PolyominoWeights("y"), ring)
-    denom = one - ring.var("h") - ring.var("w") - px - py
-    return (hw - px * py) / denom * axes_prefactor(ring)
+    """(1-xy)(hw - P(x)P(y)) / ((1-x)(1-y)(1-h-w-P(x)-P(y))), built one (x, y)
+    exponent slice at a time, with no series product or division.
+
+    Write Z = (hw - P(x)P(y)) / (1-h-w-P(x)-P(y)) as the sum of Z_ij x^i y^j,
+    each Z_ij a table over (w, h), and P_a for the table of the polyominoes
+    of area a.  The denominator is linear in the polyomino factor, so the
+    x^i y^j coefficient of denominator times Z gives
+
+        (1-h-w) Z_ij = N_ij + sum_{a=1..i} P_a Z_{i-a,j} + sum_{b=1..j} P_b Z_{i,j-b}
+
+    with N_00 = hw, N_ij = -P_i P_j for i, j >= 1 and N_ij = 0 otherwise.
+    Dividing a table s by 1-h-w is one running-sum pass,
+    z[w,h] = s[w,h] + z[w-1,h] + z[w,h-1].  Numerator and denominator are
+    symmetric in x <-> y, so Z_ij = Z_ji: a slice is copied from its mirror
+    wherever that lies within the caps, which may differ.  The prefactor
+    (1-xy)/((1-x)(1-y)) has coefficient 1 exactly on the two axes, so the
+    x^i y^j slice of the result is F_ij = sum_{k<=i} Z_kj + sum_{l<j} Z_il,
+    two running sums over the slices.
+    """
+    ix, iy, iw, ih = (ring.index(v) for v in ("x", "y", "w", "h"))
+    cap_x, cap_y, cap_w, cap_h = (ring.caps[i] for i in (ix, iy, iw, ih))
+    # a (w, h) table is a flat list with cell (w, h) at w * stride + h; every
+    # term has w, h >= 1, so row and column 0 stay 0
+    stride = cap_h + 1
+    size = (cap_w + 1) * stride
+    cells = [(w, h, w * stride + h) for w in range(1, cap_w + 1) for h in range(1, cap_h + 1)]
+    poly: list[list[tuple[int, int, int, int]]] = [[] for _ in range(max(cap_x, cap_y) + 1)]
+    for (a, pw, ph), c in polyomino_counts(len(poly) - 1, cap_w, cap_h).items():
+        poly[a].append((pw, ph, pw * stride + ph, c))
+    # z[i][j]: the non-zero cells (w, h, index, value) of Z_ij by rising w
+    z: list[list[list[tuple[int, int, int, int]]]] = [[[]] * (cap_y + 1) for _ in range(cap_x + 1)]
+    for i in range(cap_x + 1):
+        for j in range(cap_y + 1):
+            if j < i <= cap_y:
+                z[i][j] = z[j][i]
+                continue
+            table = [0] * size
+            if i == j == 0 and cells:
+                table[stride + 1] = 1  # hw
+            for pw, ph, off, c in poly[i] if i and j else ():
+                for qw, qh, off2, d in poly[j]:
+                    if pw + qw <= cap_w and ph + qh <= cap_h:
+                        table[off + off2] -= c * d
+            earlier = [(poly[a], z[i - a][j]) for a in range(1, i + 1)]
+            earlier += [(poly[b], z[i][j - b]) for b in range(1, j + 1)]
+            for terms, known in earlier:
+                for pw, ph, off, c in terms:
+                    max_w, max_h = cap_w - pw, cap_h - ph
+                    for w, h, k, v in known:
+                        if w > max_w:
+                            break
+                        if h <= max_h:
+                            table[k + off] += c * v
+            found = []
+            for w, h, k in cells:
+                v = table[k] = table[k] + table[k - stride] + table[k - 1]
+                if v:
+                    found.append((w, h, k, v))
+            z[i][j] = found
+    out: dict[tuple[int, ...], int] = {}
+    key = [0] * len(ring.variables)
+    columns = [[0] * size for _ in range(cap_y + 1)]  # columns[j]: sum of Z_kj, k <= i
+    for i in range(cap_x + 1):
+        row = [0] * size  # sum of Z_il, l < j
+        key[ix] = i
+        for j in range(cap_y + 1):
+            column = columns[j]
+            for _, _, k, v in z[i][j]:
+                column[k] += v
+            key[iy] = j
+            for w, h, k in cells:
+                c = column[k] + row[k]
+                if c:
+                    key[iw], key[ih] = w, h
+                    out[tuple(key)] = c
+            for _, _, k, v in z[i][j]:
+                row[k] += v
+    return TruncatedSeries(ring, out)
 
 
 def verify_gf(mmax: int, nmax: int, cap_x: int, cap_y: int) -> GfReport:
@@ -519,7 +591,7 @@ def verify_gf(mmax: int, nmax: int, cap_x: int, cap_y: int) -> GfReport:
     report = compare_series(lhs, rhs)
     t3 = time.perf_counter()
     iw, ih = ring.index("w"), ring.index("h")
-    per_shape = Counter((k[iw], k[ih]) for k in set(lhs.coeffs) | set(rhs.coeffs))
+    per_shape = Counter((k[iw], k[ih]) for k in lhs.coeffs.keys() | rhs.coeffs.keys())
     return replace(
         report,
         per_shape=dict(sorted(per_shape.items())),

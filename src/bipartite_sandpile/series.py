@@ -31,14 +31,26 @@ class SeriesError(SandpileError):
 
 @dataclass(frozen=True)
 class SeriesRing:
-    """A fixed variable tuple with per-variable exponent caps."""
+    """A fixed variable tuple with per-variable exponent caps.
+
+    The input is checked here once, so the arithmetic may index by the caps:
+    names are distinct strings and caps non-negative ``int`` values (``bool``
+    is an ``int`` subclass but not a cap)."""
 
     variables: tuple[str, ...]
     caps: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.variables, tuple) and isinstance(self.caps, tuple)):
+            raise SeriesError("variables and caps must be tuples")
         if len(self.variables) != len(self.caps):
             raise SeriesError("one cap per variable required")
+        if not all(isinstance(v, str) for v in self.variables):
+            raise SeriesError(f"variable names must be strings: {self.variables!r}")
+        if len(set(self.variables)) != len(self.variables):
+            raise SeriesError(f"repeated variable name in {self.variables!r}")
+        if not all(isinstance(c, int) and not isinstance(c, bool) for c in self.caps):
+            raise SeriesError(f"caps must be integers: {self.caps!r}")
         if any(c < 0 for c in self.caps):
             raise SeriesError("caps must be non-negative")
 

@@ -4,6 +4,8 @@ from collections import Counter
 from functools import lru_cache
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bipartite_sandpile import cylindric, genfunc, rank
 from bipartite_sandpile.core import GraphShape, SandpileError, config, degree
@@ -389,7 +391,6 @@ class TestMainIdentity:
             (genfunc, "polyomino_counts"),
             (genfunc, "polyomino_series_via_l"),
             (genfunc, "l_series"),
-            (genfunc, "axes_prefactor"),
             (genfunc, "enumerate_parking_sorted"),
             (genfunc, "xpara"),
             (genfunc, "ypara"),
@@ -427,6 +428,56 @@ class TestMainIdentity:
         numer = (one - x * y) * (h * w - px * py)
         denom = (one - x) * (one - y) * (one - h - w - px - py)
         assert gf_closed_form(ring) == numer / denom
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 4), st.integers(0, 4)))
+    @example((7, 2, 4, 1))
+    @example((2, 7, 1, 4))
+    @example((0, 7, 4, 4))
+    @example((7, 0, 4, 4))
+    @example((1, 6, 4, 0))
+    def test_slices_equal_the_division(self, caps):
+        # the slice kernel against the product formula as one series division,
+        # on caps that differ between x and y (where a mirrored slice may lie
+        # past a cap) and between w and h
+        ring = SeriesRing(("x", "y", "w", "h"), caps)
+        one = ring.one()
+        x, y, w, h = (ring.var(v) for v in ("x", "y", "w", "h"))
+        px = polyomino_series(PolyominoWeights("x"), ring)
+        py = polyomino_series(PolyominoWeights("y"), ring)
+        numer = (one - x * y) * (h * w - px * py)
+        denom = (one - x) * (one - y) * (one - h - w - px - py)
+        assert gf_closed_form(ring) == numer / denom
+
+    def test_closed_form_uses_no_series_product_or_division(self, monkeypatch):
+        ring = SeriesRing(("x", "y", "w", "h"), (6, 5, 4, 3))
+        expected = gf_closed_form(ring)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the closed form multiplied or divided series")
+
+        monkeypatch.setattr(TruncatedSeries, "__mul__", forbidden)
+        monkeypatch.setattr(TruncatedSeries, "geom_inverse", forbidden)
+        assert gf_closed_form(ring) == expected
+
+    @pytest.mark.parametrize("caps", [(6, 6, 4, 4), (7, 2, 4, 1), (0, 5, 3, 3), (5, 5, 0, 2)])
+    def test_both_sides_hold_only_non_zero_keys_within_the_caps(self, caps):
+        # both sides build their series directly, so neither may hold what
+        # from_coeffs would drop: a zero coefficient or a key past a cap
+        ring = SeriesRing(("x", "y", "w", "h"), caps)
+        for series in (family_series(caps[2], caps[3], ring), gf_closed_form(ring)):
+            assert series == ring.from_coeffs(series.coeffs)
+            assert 0 not in series.coeffs.values()
+        # shapes past the w and h caps are not counted
+        assert family_series(caps[2] + 2, caps[3] + 1, ring) == family_series(caps[2], caps[3], ring)
+
+    def test_extra_variables_stay_at_exponent_zero(self):
+        plain = SeriesRing(("x", "y", "w", "h"), (4, 5, 3, 2))
+        wider = SeriesRing(("q", "h", "y", "w", "x"), (3, 2, 5, 3, 4))
+        order = [plain.variables.index(v) for v in ("h", "y", "w", "x")]
+        for side in (gf_closed_form, lambda ring: family_series(3, 2, ring)):
+            moved = {(0,) + tuple(key[i] for i in order): c for key, c in side(plain).coeffs.items()}
+            assert side(wider).coeffs == moved
 
     def test_w_h_symmetry_of_family_series(self):
         ring = SeriesRing(("x", "y", "w", "h"), (6, 6, 4, 4))

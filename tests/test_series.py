@@ -32,6 +32,32 @@ class TestBasics:
     def test_series_errors_are_sandpile_errors(self):
         assert issubclass(SeriesError, SandpileError) and issubclass(SeriesError, ValueError)
 
+    @pytest.mark.parametrize(
+        "variables,caps",
+        [
+            (("x",), (1.5,)),
+            (("x",), (True,)),
+            (("x", "y"), (2, False)),
+            (("x",), ("2",)),
+            (("x",), (None,)),
+            (("x",), (-1,)),
+            (("x", "x"), (1, 1)),
+            (("x", 1), (1, 1)),
+            ((None,), (1,)),
+            (("x", "y"), (1,)),
+            (["x"], (1,)),
+            (("x",), [1]),
+            ("x", (1,)),
+        ],
+    )
+    def test_ring_input_checked_at_construction(self, variables, caps):
+        with pytest.raises(SeriesError):
+            SeriesRing(variables, caps)
+
+    def test_large_caps_accepted(self):
+        ring = SeriesRing(("x", "y"), (2**70, 0))
+        assert ring.caps == (2**70, 0) and ring.index("y") == 1
+
     def test_cap_mismatch_rejected(self):
         other = SeriesRing(("x", "y"), (4, 5))
         with pytest.raises(SeriesError):
