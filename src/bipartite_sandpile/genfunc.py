@@ -527,7 +527,7 @@ def gf_closed_form(ring: SeriesRing) -> TruncatedSeries:
     for (a, pw, ph), c in polyomino_counts(len(poly) - 1, cap_w, cap_h).items():
         poly[a].append((pw, ph, pw * stride + ph, c))
     # z[i][j]: the non-zero cells (w, h, index, value) of Z_ij by rising w
-    z: list[list[list[tuple[int, int, int, int]]]] = [[[]] * (cap_y + 1) for _ in range(cap_x + 1)]
+    z: list[list[list]] = [[[] for _ in range(cap_y + 1)] for _ in range(cap_x + 1)]
     for i in range(cap_x + 1):
         for j in range(cap_y + 1):
             if j < i <= cap_y:
@@ -535,11 +535,12 @@ def gf_closed_form(ring: SeriesRing) -> TruncatedSeries:
                 continue
             table = [0] * size
             if i == j == 0 and cells:
-                table[stride + 1] = 1  # hw
-            for pw, ph, off, c in poly[i] if i and j else ():
-                for qw, qh, off2, d in poly[j]:
-                    if pw + qw <= cap_w and ph + qh <= cap_h:
-                        table[off + off2] -= c * d
+                table[stride + 1] = 1  # N_00 = hw
+            elif i and j:  # N_ij = -P_i P_j
+                for pw, ph, off, c in poly[i]:
+                    for qw, qh, off2, d in poly[j]:
+                        if pw + qw <= cap_w and ph + qh <= cap_h:
+                            table[off + off2] -= c * d
             earlier = [(poly[a], z[i - a][j]) for a in range(1, i + 1)]
             earlier += [(poly[b], z[i][j - b]) for b in range(1, j + 1)]
             for terms, known in earlier:
