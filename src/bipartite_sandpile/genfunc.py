@@ -267,7 +267,7 @@ def xy_table(shape: GraphShape, ring: SeriesRing) -> TruncatedSeries:
         key[ix] = xp
         key[iy] = yp
         out[tuple(key)] = c
-    return ring.from_coeffs(out)
+    return TruncatedSeries(ring, out)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +387,9 @@ def boundary_series_direct(
 
 def boundary_series_closed(ring: SeriesRing) -> tuple[TruncatedSeries, TruncatedSeries]:
     """The same two series from the polyomino decomposition of boundary
-    pairs."""
+    pairs.  Each is divided by its denominator's two factors in turn, the
+    long one first and 1 - w last: a division sweep costs the quotient's keys
+    times the divisor's tail terms."""
     one = ring.one()
     w, h = ring.var("w"), ring.var("h")
     hx = ring.monomial({"h": 1, "x": 1})
@@ -398,17 +400,14 @@ def boundary_series_closed(ring: SeriesRing) -> tuple[TruncatedSeries, Truncated
     pxt = polyomino_series(PolyominoWeights("x", height_offset=1), ring)
     pyt = polyomino_series(PolyominoWeights("y", height_offset=-1), ring)
 
-    minus_den = (one - w) * (one - h - w - px - py)
-    minus = px * py / minus_den
-
+    minus = px * py / (one - h - w - px - py) / (one - w)
     plus_num = (
         (one - hx - w) * hw
         + (w - h) * pxt * pyt
         + (one - hx - w + xw) * h * pyt
         - hw * pxt
     )
-    plus_den = (one - w) * (one - w - hx - pyt - pxt)
-    plus = plus_num / plus_den
+    plus = plus_num / (one - w - hx - pyt - pxt) / (one - w)
     return plus, minus
 
 

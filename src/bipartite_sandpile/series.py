@@ -5,22 +5,18 @@ variable; every coefficient is an exact Python int.  Monomials beyond a cap
 are silently discarded by the arithmetic, so within the caps all operations
 agree with the untruncated ring.
 
-Coefficients are stored under exponent tuples.  The two quadratic kernels,
-``__mul__`` and the division sweep ``geom_inverse`` (behind ``/``), pack
-each tuple into one int for the duration of the call.  A variable with cap c
-gets a field of w + 1 bits, w = c.bit_length(): w bits hold the exponent and
-the top bit is a guard.  One operand is packed plainly (field value e) and
-the other with a bias (field value e + 2^w - 1 - c), so one integer addition
-adds every pair of exponents, and the sum's field overflows into its guard
-bit exactly when e1 + e2 > c.  It never carries past the guard, since
-e1 + e2 + bias is at most c + 2^w - 1 < 2^(w+1).  A single ``&`` with the
-mask of all guard bits therefore tests every cap at once; a sum that passes
-is the biased packing of the product's exponents.
+Coefficients are stored under exponent tuples, checked once where a key
+comes from outside (``monomial``, ``from_coeffs``, ``coefficient``): one
+non-negative ``int`` per variable.  The two quadratic kernels, ``__mul__``
+and the division sweep ``geom_inverse`` (behind ``/``), test each pair
+against the room ``caps - key`` left by one of its keys before forming the
+sum, so a pair past a cap builds no tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add, le, sub
 
 from .core import SandpileError
 
@@ -61,13 +57,8 @@ class SeriesRing:
         return self.monomial({})
 
     def monomial(self, exponents: dict[str, int], coeff: int = 1) -> "TruncatedSeries":
-        exps = [0] * len(self.variables)
-        for name, e in exponents.items():
-            exps[self.index(name)] = e
-        key = tuple(exps)
-        if any(e < 0 for e in key):
-            raise SeriesError(f"negative exponent in {exponents}")
-        if coeff == 0 or any(e > c for e, c in zip(key, self.caps)):
+        key = _key(self, exponents)
+        if coeff == 0 or not all(map(le, key, self.caps)):
             return self.zero()
         return TruncatedSeries(self, {key: coeff})
 
@@ -75,13 +66,13 @@ class SeriesRing:
         return self.monomial({name: 1})
 
     def from_coeffs(self, coeffs: dict[tuple[int, ...], int]) -> "TruncatedSeries":
+        """The series of a key -> coefficient map; zero coefficients and keys
+        past a cap are dropped."""
+        caps = self.caps
         kept = {}
         for key, c in coeffs.items():
-            if c == 0:
-                continue
-            if any(e < 0 for e in key):
-                raise SeriesError(f"negative exponent tuple {key}")
-            if all(e <= cap for e, cap in zip(key, self.caps)):
+            _check(key, caps)
+            if c and all(map(le, key, caps)):
                 kept[key] = c
         return TruncatedSeries(self, kept)
 
@@ -143,18 +134,16 @@ class TruncatedSeries:
         small, large = self.coeffs, other.coeffs
         if len(small) > len(large):
             small, large = large, small
-        packing = _Packing(self.ring.caps)
-        guard = packing.guard
-        large_items = [(packing.biased(k), c) for k, c in large.items()]
-        out: dict[int, int] = {}
+        caps = self.ring.caps
+        large_items = list(large.items())
+        out: dict[tuple[int, ...], int] = {}
         for k1, c1 in small.items():
-            p1 = packing.plain(k1)
-            for p2, c2 in large_items:
-                key = p1 + p2
-                if key & guard:
-                    continue
-                out[key] = out.get(key, 0) + c1 * c2
-        return TruncatedSeries(self.ring, packing.unpack_biased(out))
+            room = tuple(map(sub, caps, k1))
+            for k2, c2 in large_items:
+                if all(map(le, k2, room)):
+                    key = tuple(map(add, k1, k2))
+                    out[key] = out.get(key, 0) + c1 * c2
+        return TruncatedSeries(self.ring, {k: c for k, c in out.items() if c})
 
     def __truediv__(self, denom: "TruncatedSeries") -> "TruncatedSeries":
         """self / denom within the caps; denom's constant term must be 1."""
@@ -166,10 +155,12 @@ class TruncatedSeries:
 
         Solves q*f = numer by a push-style sweep in graded order: once every
         key of total degree below d is final, the degree-d keys are, and each
-        non-zero q_k pushes -t_c * q_k onto k + t for every tail term t of f.
-        The numerator's terms seed the sweep, and only keys that receive a
-        contribution are ever visited, so the cost follows the quotient's
-        keys rather than the whole box of the caps.
+        non-zero q_k pushes -t_c * q_k onto k + t for every tail term t of f
+        within the room caps - k.  The numerator's terms seed the sweep, and
+        only keys that receive a contribution are ever visited, so the cost is
+        the quotient's keys times the tail terms of f, not the whole box of
+        the caps.  A denominator that factors is cheaper divided one factor
+        at a time: each sweep then pays only for its own factor's tail.
         """
         ring = self.ring
         if numer is None:
@@ -178,43 +169,34 @@ class TruncatedSeries:
         zero_key = (0,) * len(ring.variables)
         if self.coeffs.get(zero_key, 0) != 1:
             raise SeriesError("division requires a denominator with constant term 1")
-        packing = _Packing(ring.caps)
-        guard = packing.guard
-        by_degree: dict[int, list[tuple[int, int]]] = {}
-        for k, c in self.coeffs.items():
-            if k != zero_key:
-                by_degree.setdefault(sum(k), []).append((packing.plain(k), c))
-        tail = sorted(by_degree.items())
-        # pending[d] maps biased keys of degree d to -(q_key): the numerator
-        # seeds it, the tail terms of already final keys add to it
-        pending: list[dict[int, int]] = [{} for _ in range(sum(ring.caps) + 1)]
+        caps = ring.caps
+        top = sum(caps)
+        tail = sorted((sum(k), k, c) for k, c in self.coeffs.items() if k != zero_key)
+        # pending[d] maps keys of degree d to their quotient coefficient: the
+        # numerator seeds it, each final key of lower degree pushes onto it
+        pending: list[dict[tuple[int, ...], int]] = [{} for _ in range(top + 1)]
         for k, c in numer.coeffs.items():
-            pending[sum(k)][packing.biased(k)] = -c
-        out: dict[int, int] = {}
+            pending[sum(k)][k] = c
+        out: dict[tuple[int, ...], int] = {}
         for d, layer in enumerate(pending):
-            for key, acc in layer.items():
-                if not acc:
+            for key, q in layer.items():
+                if not q:
                     continue
-                q = -acc
                 out[key] = q
-                for tdeg, terms in tail:
-                    if d + tdeg >= len(pending):
+                room = tuple(map(sub, caps, key))
+                for tdeg, tkey, tc in tail:
+                    if d + tdeg > top:
                         break
-                    target = pending[d + tdeg]
-                    for tkey, tc in terms:
-                        s = key + tkey
-                        if s & guard:
-                            continue
-                        target[s] = target.get(s, 0) + tc * q
+                    if all(map(le, tkey, room)):
+                        s = tuple(map(add, key, tkey))
+                        target = pending[d + tdeg]
+                        target[s] = target.get(s, 0) - tc * q
             pending[d] = {}
-        return TruncatedSeries(ring, packing.unpack_biased(out))
+        return TruncatedSeries(ring, out)
 
     def coefficient(self, exponents: dict[str, int]) -> int:
-        exps = [0] * len(self.ring.variables)
-        for name, e in exponents.items():
-            exps[self.ring.index(name)] = e
-        key = tuple(exps)
-        if any(e > cap or e < 0 for e, cap in zip(key, self.ring.caps)):
+        key = _key(self.ring, exponents)
+        if not all(map(le, key, self.ring.caps)):
             raise SeriesError(f"exponents {exponents} outside caps {self.ring.caps}")
         return self.coeffs.get(key, 0)
 
@@ -247,37 +229,19 @@ class TruncatedSeries:
         return "\n".join(lines)
 
 
-class _Packing:
-    """The packed-int layout of exponent tuples under fixed caps (see the
-    module docstring)."""
+def _key(ring: SeriesRing, exponents: dict[str, int]) -> tuple[int, ...]:
+    """The checked exponent tuple of a {variable: exponent} map."""
+    exps = [0] * len(ring.variables)
+    for name, e in exponents.items():
+        exps[ring.index(name)] = e
+    key = tuple(exps)
+    _check(key, ring.caps)
+    return key
 
-    def __init__(self, caps: tuple[int, ...]) -> None:
-        self.shifts: list[int] = []
-        self.masks: list[int] = []
-        self.bias = 0
-        self.guard = 0
-        shift = 0
-        for cap in caps:
-            width = cap.bit_length()
-            self.shifts.append(shift)
-            self.masks.append((1 << width) - 1)
-            self.bias |= ((1 << width) - 1 - cap) << shift
-            self.guard |= 1 << (shift + width)
-            shift += width + 1
 
-    def plain(self, key: tuple[int, ...]) -> int:
-        return sum(e << s for e, s in zip(key, self.shifts))
-
-    def biased(self, key: tuple[int, ...]) -> int:
-        return self.plain(key) + self.bias
-
-    def unpack_biased(self, packed: dict[int, int]) -> dict[tuple[int, ...], int]:
-        """Exponent tuples back from biased keys; zero coefficients dropped."""
-        fields = list(zip(self.shifts, self.masks))
-        bias = self.bias
-        out = {}
-        for key, c in packed.items():
-            if c:
-                plain = key - bias
-                out[tuple((plain >> s) & mask for s, mask in fields)] = c
-        return out
+def _check(key: tuple[int, ...], caps: tuple[int, ...]) -> None:
+    """Raise unless key holds one non-negative ``int`` per cap (``bool`` is
+    an ``int`` subclass but not an exponent)."""
+    if not (type(key) is tuple and len(key) == len(caps)
+            and all(type(e) is int and e >= 0 for e in key)):
+        raise SeriesError(f"exponents must be {len(caps)} non-negative integers: {key!r}")

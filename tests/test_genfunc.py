@@ -309,6 +309,31 @@ class TestBoundarySeries:
         assert compare_series(direct_minus, closed_minus).ok
         assert compare_series(direct_plus, closed_plus).ok
 
+    @pytest.mark.parametrize("caps", [(6, 6, 4, 4), (7, 2, 4, 1), (8, 8, 6, 6)])
+    def test_two_divisions_equal_one_by_the_product(self, caps):
+        # the reference divides once by the expanded denominator product
+        ring = SeriesRing(("x", "y", "w", "h"), caps)
+        one = ring.one()
+        w, h = ring.var("w"), ring.var("h")
+        hx = ring.monomial({"h": 1, "x": 1})
+        hw = ring.monomial({"h": 1, "w": 1})
+        xw = ring.monomial({"x": 1, "w": 1})
+        px = polyomino_series(PolyominoWeights("x"), ring)
+        py = polyomino_series(PolyominoWeights("y"), ring)
+        pxt = polyomino_series(PolyominoWeights("x", height_offset=1), ring)
+        pyt = polyomino_series(PolyominoWeights("y", height_offset=-1), ring)
+        minus = px * py / ((one - w) * (one - h - w - px - py))
+        plus_num = (
+            (one - hx - w) * hw
+            + (w - h) * pxt * pyt
+            + (one - hx - w + xw) * h * pyt
+            - hw * pxt
+        )
+        plus = plus_num / ((one - w) * (one - w - hx - pyt - pxt))
+        closed_plus, closed_minus = boundary_series_closed(ring)
+        assert closed_minus.coeffs == minus.coeffs
+        assert closed_plus.coeffs == plus.coeffs
+
     def test_boundary_monomials_feed_sink_series(self):
         from bipartite_sandpile.cylindric import boundary_sets
 

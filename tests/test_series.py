@@ -28,6 +28,8 @@ class TestBasics:
     def test_truncation_silently_drops(self):
         x = RING2.var("x")
         assert x * x * x * x * x == RING2.zero()  # x^5 beyond cap 4
+        assert RING2.monomial({"x": 5}).is_zero()
+        assert RING2.from_coeffs({(5, 0): 1, (1, 1): 2}) == RING2.monomial({"x": 1, "y": 1}, 2)
 
     def test_series_errors_are_sandpile_errors(self):
         assert issubclass(SeriesError, SandpileError) and issubclass(SeriesError, ValueError)
@@ -53,6 +55,38 @@ class TestBasics:
     def test_ring_input_checked_at_construction(self, variables, caps):
         with pytest.raises(SeriesError):
             SeriesRing(variables, caps)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: RING2.from_coeffs({(1,): 1}),
+            lambda: RING2.from_coeffs({(0, 0, 1): 1}),
+            lambda: RING2.from_coeffs({("1", 0): 1}),
+            lambda: RING2.from_coeffs({(True, 0): 1}),
+            lambda: RING2.from_coeffs({(1.0, 0): 1}),
+            lambda: RING2.from_coeffs({(-1, 0): 1}),
+            lambda: RING2.from_coeffs({(-1, 0): 0}),
+            lambda: RING2.from_coeffs({1: 1}),
+            lambda: RING2.monomial({"x": 1.5}),
+            lambda: RING2.monomial({"x": True}),
+            lambda: RING2.monomial({"x": "1"}),
+            lambda: RING2.monomial({"y": None}),
+            lambda: RING2.monomial({"x": -1}),
+            lambda: RING2.one().coefficient({"x": True}),
+            lambda: RING2.one().coefficient({"y": 0.0}),
+            lambda: RING2.one().coefficient({"x": -1}),
+        ],
+        ids=[
+            "short-key", "long-key", "str-exponent", "bool-exponent", "float-exponent",
+            "negative-exponent", "negative-exponent-zero-coefficient", "int-key",
+            "monomial-float", "monomial-bool", "monomial-str", "monomial-none",
+            "monomial-negative", "coefficient-bool", "coefficient-float",
+            "coefficient-negative",
+        ],
+    )
+    def test_keys_checked_at_the_public_constructors(self, build):
+        with pytest.raises(SeriesError):
+            build()
 
     def test_large_caps_accepted(self):
         ring = SeriesRing(("x", "y"), (2**70, 0))
@@ -158,18 +192,18 @@ class TestUtilities:
         assert f.scaled(0) == RING2.zero()
 
 
-# -- the packed-key kernels against tuple-key references written out here
+# -- the kernels against references written out here: the product taken
+# untruncated and cut to the caps afterwards, the inverse solved key by key
+# over the whole box
 
 
-def naive_product(f, g):
-    caps = f.ring.caps
-    out = {}
-    for k1, c1 in f.coeffs.items():
-        for k2, c2 in g.coeffs.items():
+def truncated_product(f, g, caps):
+    full = {}
+    for k1, c1 in f.items():
+        for k2, c2 in g.items():
             key = tuple(e1 + e2 for e1, e2 in zip(k1, k2))
-            if all(e <= cap for e, cap in zip(key, caps)):
-                out[key] = out.get(key, 0) + c1 * c2
-    return {k: c for k, c in out.items() if c}
+            full[key] = full.get(key, 0) + c1 * c2
+    return {k: c for k, c in full.items() if c and all(e <= cap for e, cap in zip(k, caps))}
 
 
 def naive_inverse(f):
@@ -206,25 +240,30 @@ def ring_and_series(draw, count):
     return ring, [draw(sparse_series(ring, COEFFS)) for _ in range(count)]
 
 
-class TestPackedKernels:
+def unit_of(f):
+    """f with its constant term set to 1."""
+    zero = (0,) * len(f.ring.caps)
+    return f - f.ring.from_coeffs({zero: f.coeffs.get(zero, 0)}) + f.ring.one()
+
+
+class TestKernels:
     @settings(max_examples=200, deadline=None)
     @given(ring_and_series(2))
-    def test_product_matches_tuple_convolution(self, drawn):
+    def test_product_matches_the_untruncated_product(self, drawn):
         ring, (f, g) = drawn
-        assert (f * g).coeffs == naive_product(f, g)
+        assert (f * g).coeffs == truncated_product(f.coeffs, g.coeffs, ring.caps)
 
     @settings(max_examples=200, deadline=None)
     @given(ring_and_series(1))
     def test_inverse_matches_graded_solve(self, drawn):
         ring, (f,) = drawn
-        zero = (0,) * len(ring.caps)
-        unit = f - ring.from_coeffs({zero: f.coeffs.get(zero, 0)}) + ring.one()
+        unit = unit_of(f)
         inv = unit.geom_inverse()
         assert inv.coeffs == naive_inverse(unit)
         assert unit * inv == ring.one()
 
     def test_exponent_sum_on_a_power_of_two_cap(self):
-        # cap 4 fills three bits; 2 + 2 sits exactly on the cap, 3 + 2 is past it
+        # 2 + 2 sits exactly on the cap, 3 + 2 is past it
         ring = SeriesRing(("x", "y"), (4, 0))
         x2, x3 = ring.monomial({"x": 2}), ring.monomial({"x": 3})
         assert (x2 * x2).coeffs == {(4, 0): 1}
@@ -236,10 +275,10 @@ class TestDivision:
     @given(ring_and_series(2))
     def test_quotient_matches_tuple_reference(self, drawn):
         ring, (numer, f) = drawn
-        zero = (0,) * len(ring.caps)
-        denom = f - ring.from_coeffs({zero: f.coeffs.get(zero, 0)}) + ring.one()
+        denom = unit_of(f)
         quotient = numer / denom
-        assert quotient.coeffs == naive_product(numer, ring.from_coeffs(naive_inverse(denom)))
+        assert quotient.coeffs == truncated_product(numer.coeffs, naive_inverse(denom), ring.caps)
+        assert denom.geom_inverse(numer) == quotient
         assert quotient * denom == numer
 
     def test_requires_unit_constant(self):
